@@ -1,6 +1,6 @@
 """Recurrence coefficients, their asymptotics, and the lattice flows.
 
-Computes exact recurrence tables in extended precision, compares the
+Computes recurrence tables by float64 Lanczos, compares the
 diagonal sequence against the one-cut limit and the edge-critical
 formula, flows Gaussian data under the first hierarchy time, and locates
 a hodograph gradient catastrophe with its scaling constants.

@@ -196,9 +196,8 @@ def cmd_op_table(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
     x = float(cfg.get("x", "0.0"))
     t = float(cfg.get("t", "0.0"))
     n_range = _ints(cfg, "n_range", "4,8,12,16")
-    dps = int(cfg.get("dps", "60"))
     field = rmt_eq.QuarticField(x=x, t=t)
-    rows, slope = orthopoly.compare_asymptotics(field, n_range, which, dps=dps)
+    rows, slope = orthopoly.compare_asymptotics(field, n_range, which)
     table = [
         [r["n"], r["gamma_num"], r["gamma_asym"], r["err_gamma"], r["beta_num"], r["beta_asym"], r["err_beta"]]
         for r in rows
@@ -208,13 +207,14 @@ def cmd_op_table(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
         ["n", "gamma_num", "gamma_asym", "err_gamma", "beta_num", "beta_asym", "err_beta"],
         table,
     )
+    failures = [{"n": r["n"], "error": r["error"]} for r in rows if r["error"]]
     _write_manifest(
         out / "op_table.json",
         "op-table",
         cfg,
-        {"which": which, "fitted_exponent": slope, "dps": dps, "tol_scale": tol_scale},
+        {"which": which, "fitted_exponent": slope, "failures": failures, "tol_scale": tol_scale},
     )
-    return 0
+    return 2 if failures else 0
 
 
 def cmd_toda_run(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
@@ -251,12 +251,16 @@ def cmd_toda_run(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
     return 0
 
 
+# subcommand -> (handler, the config keys it reads)
 _COMMANDS = {
-    "kdv-phase": cmd_kdv_phase,
-    "kdv-compare": cmd_kdv_compare,
-    "rmt-phase": cmd_rmt_phase,
-    "op-table": cmd_op_table,
-    "toda-run": cmd_toda_run,
+    "kdv-phase": (cmd_kdv_phase, {"initial_data", "t_grid"}),
+    "kdv-compare": (
+        cmd_kdv_compare,
+        {"initial_data", "eps_list", "window", "t", "n_probe", "x_lo", "x_hi", "halfwidth_scale"},
+    ),
+    "rmt-phase": (cmd_rmt_phase, {"x_grid", "t_grid"}),
+    "op-table": (cmd_op_table, {"which", "x", "t", "n_range"}),
+    "toda-run": (cmd_toda_run, {"N", "n_max", "flow_k", "dt", "steps"}),
 }
 
 
@@ -277,8 +281,12 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         cfg = _parse_config(args.config)
+        command, keys = _COMMANDS[args.command]
+        unknown = sorted(set(cfg) - keys)
+        if unknown:
+            raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
         out.mkdir(parents=True, exist_ok=True)
-        code = _COMMANDS[args.command](cfg, out, args.jobs, args.tol_scale)
+        code = command(cfg, out, args.jobs, args.tol_scale)
     except (ValueError, KdvrmtError) as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return 1

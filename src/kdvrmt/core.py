@@ -28,7 +28,6 @@ __all__ = [
     "theta3",
     "gauss_legendre_rule",
     "gauss_jacobi_rule",
-    "trapezoid_periodic_rule",
     "newton_solve",
     "sech2",
     "sech2_train",
@@ -66,13 +65,12 @@ class RootConfig:
     """Tolerances and iteration budget for Newton-type solves."""
 
     abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
     max_iter: int = 60
     bracket: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise DomainError("tolerances must be positive")
+        if self.abs_tol <= 0.0:
+            raise DomainError("abs_tol must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
 
@@ -208,15 +206,6 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     else:
         x, w = sspecial.roots_jacobi(n, alpha, beta)
     return QuadratureRule(nodes=x, weights=w, kind=f"gauss-jacobi({alpha},{beta})")
-
-
-def trapezoid_periodic_rule(n: int, period: float = 2.0 * math.pi) -> QuadratureRule:
-    """Equispaced trapezoid rule on one period (spectrally accurate there)."""
-    if n < 2:
-        raise DomainError("need n >= 2 nodes")
-    h = period / n
-    nodes = h * np.arange(n)
-    return QuadratureRule(nodes=nodes, weights=np.full(n, h), kind="trapezoid-periodic")
 
 
 def _fd_jacobian(f: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ class StabilityError(KdvrmtError, RuntimeError):
 
 
 class PrecisionError(KdvrmtError, RuntimeError):
-    """Extended-precision budget exhausted (orthogonality lost)."""
+    """A recurrence computation lost orthogonality."""
 
     def __init__(self, message, failing_index=None):
         super().__init__(message)

@@ -1,11 +1,11 @@
 """Recurrence coefficients and partition functions for e^{-N V} weights.
 
-``compute_recurrence`` runs a discretized Stieltjes procedure on a
-composite Gauss-Legendre discretization of the weight, carried out
-entirely in extended precision (mpmath).  Fixed double precision loses
-orthogonality for these strongly varying weights well before n = 64,
-which is why the inner loop never touches float64; results are rounded
-only on the way out.
+``compute_recurrence`` covers the weight by a composite Gauss-Legendre
+rule and builds the Jacobi matrix of that discrete measure by float64
+Lanczos with full reorthogonalization, which stays orthogonal to
+machine precision where the discretized Stieltjes recurrence does not
+(Gragg & Harrod, Numer. Math. 44, 1984).  The measured orthogonality
+loss is checked on every table.
 
 The asymptotic side evaluates the regular one-cut limits, the interior
 (Hastings-McLeod) and edge (fourth-order profile) critical formulas, and
@@ -17,17 +17,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from . import painleve, rmt_eq
 from .core import sech2_train
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, KdvrmtError, PrecisionError
 from .rmt_eq import QuarticField, X_STAR, field_coeffs
 
 __all__ = [
@@ -53,7 +51,8 @@ EDGE_C = 6.0 ** (2.0 / 7.0)
 EDGE_C1 = 6.0 ** (-1.0 / 7.0)
 EDGE_C2 = 2.0 * 6.0 ** (-3.0 / 7.0)
 
-DESK_N_MAX = 64
+# outermost truncation radius of the weight
+_R_MAX = 64.0
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class RecurrenceTable:
     kappa: np.ndarray
     log_kappa: np.ndarray
     n_nodes: int
-    dps: int
 
     @property
     def n_max(self) -> int:
@@ -95,36 +93,13 @@ def _as_poly(v) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=8)
-def _mp_legendre_rule(n: int, dps: int):
-    """Gauss-Legendre nodes/weights to ``dps`` digits (Newton-refined)."""
-    x0, _ = roots_legendre(n)
-    with mp.workdps(dps + 10):
-        nodes, weights = [], []
-        for xs in x0:
-            x = mp.mpf(float(xs))
-            for _ in range(4):
-                p0, p1 = mp.mpf(1), x
-                for k in range(2, n + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                x = x - p1 / dp
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, n + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
-    return tuple(nodes), tuple(weights)
-
-
 def _truncation_radius(coeffs: np.ndarray, n_weight: int) -> tuple[float, float]:
     """Radius R with N (V(+-R) - V_min) >= 230 nats (tail mass << 1e-30)."""
     pv = np.polynomial.polynomial.polyval
     grid = np.linspace(-30.0, 30.0, 4001)
     vmin = float(np.min(pv(grid, coeffs)))
     r = 2.0
-    while r < 64.0:
+    while r < _R_MAX:
         if (
             n_weight * (float(pv(r, coeffs)) - vmin) >= 230.0
             and n_weight * (float(pv(-r, coeffs)) - vmin) >= 230.0
@@ -134,104 +109,89 @@ def _truncation_radius(coeffs: np.ndarray, n_weight: int) -> tuple[float, float]
     raise DomainError("weight tail does not decay within the desk-scale window")
 
 
+def _lanczos(xs: np.ndarray, sqrt_w: np.ndarray, n_max: int):
+    """Jacobi matrix of the discrete measure sum w_i delta(x_i).
+
+    Lanczos on diag(xs) from the start vector sqrt(w), with full
+    reorthogonalization (one classical Gram-Schmidt pass against every
+    earlier vector per step).  Row k of the returned Q holds
+    p_k(x_i) sqrt(w_i); a measured loss max|Q Q^T - I| above 1e-10
+    raises PrecisionError.
+    """
+    q = np.empty((n_max + 1, xs.size))
+    q[0] = sqrt_w / np.linalg.norm(sqrt_w)
+    gamma = np.empty(n_max)
+    beta = np.empty(n_max + 1)
+    for k in range(n_max + 1):
+        xq = xs * q[k]
+        beta[k] = float(np.dot(q[k], xq))
+        if k == n_max:
+            break
+        r = xq - beta[k] * q[k]
+        if k:
+            r -= gamma[k - 1] * q[k - 1]
+        r -= q[: k + 1].T @ (q[: k + 1] @ r)
+        gamma[k] = float(np.linalg.norm(r))
+        if not gamma[k] > 0.0:
+            raise PrecisionError(
+                f"Lanczos breakdown at n = {k + 1}: the discrete measure is exhausted",
+                failing_index=k + 1,
+            )
+        q[k + 1] = r / gamma[k]
+    loss = float(np.max(np.abs(q @ q.T - np.eye(n_max + 1))))
+    if loss > 1e-10:
+        raise PrecisionError(f"Lanczos orthogonality loss {loss:.1e} > 1e-10", failing_index=n_max)
+    return gamma, beta, q
+
+
 def compute_recurrence(
     v,
     n_weight: int,
     n_max: int,
-    dps: int = 60,
     nodes_per_panel: int = 48,
-    n_panels: int | None = None,
 ) -> RecurrenceTable:
-    """Discretized Stieltjes run for the weight exp(-N V) on the line.
+    """Recurrence coefficients of the weight exp(-N V) on the line.
 
-    The weight is truncated where its tail mass is below 1e-30, covered
-    by a composite Gauss-Legendre rule, and the three-term recurrence is
-    generated by the Stieltjes inner products in ``dps``-digit
-    arithmetic.  Loss of positivity in gamma_n^2 raises PrecisionError
-    naming the failing index.
+    The weight is covered by a composite Gauss-Legendre rule on [-R, R]
+    with at least n_max / 2 panels, and the Jacobi matrix of that
+    discrete measure is built by float64 Lanczos with full
+    reorthogonalization.  Square-root weights exp(-N (V - V_min) / 2)
+    keep every node on the support representable.  R starts where the
+    weight tail is below 1e-30 and grows by 1.25x until p_{n_max}^2 w
+    holds less than 1e-30 of its mass in the outer ring |x| >= R / 1.25.
     """
     coeffs = _as_poly(v)
     n_weight = int(n_weight)
     n_max = int(n_max)
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if n_max > DESK_N_MAX:
-        raise DomainError(
-            f"n_max = {n_max} beyond the desk cap {DESK_N_MAX}; raise dps and "
-            "the cap explicitly if you really need this"
-        )
     radius, vmin = _truncation_radius(coeffs, n_weight)
-    if n_panels is None:
-        n_panels = max(10, int(math.ceil(2.0 * radius)))
-
-    with mp.workdps(dps):
-        c_mp = [mp.mpf(float(ci)) for ci in coeffs]
-
-        def v_mp(x):
-            acc = mp.mpf(0)
-            for ci in reversed(c_mp):
-                acc = acc * x + ci
-            return acc
-
-        base_nodes, base_weights = _mp_legendre_rule(nodes_per_panel, dps)
-        edges = [mp.mpf(-radius) + 2 * mp.mpf(radius) * j / n_panels for j in range(n_panels + 1)]
-        xs, ws = [], []
-        vshift = mp.mpf(vmin)
-        for j in range(n_panels):
-            mid = (edges[j] + edges[j + 1]) / 2
-            half = (edges[j + 1] - edges[j]) / 2
-            for xb, wb in zip(base_nodes, base_weights):
-                x = mid + half * xb
-                xs.append(x)
-                ws.append(half * wb * mp.e ** (-n_weight * (v_mp(x) - vshift)))
-
-        n_nodes = len(xs)
-        # Stieltjes loop on the discrete measure sum w_i delta(x_i)
-        m0 = mp.fsum(ws)
-        p_prev = [mp.mpf(0)] * n_nodes
-        p_cur = [1 / mp.sqrt(m0)] * n_nodes
-        # the weight was rescaled by e^{-N vshift}; the leading
-        # coefficients of the unshifted weight gain e^{+N vshift / 2}
-        log_kappa = [-mp.log(m0) / 2 + mp.mpf(n_weight) * vshift / 2]
-        gammas: list = []
-        betas: list = []
-        for k in range(n_max + 1):
-            beta_k = mp.fsum(w * x * p * p for w, x, p in zip(ws, xs, p_cur))
-            betas.append(beta_k)
-            if k == n_max:
-                break
-            gam_prev = gammas[-1] if gammas else mp.mpf(0)
-            t_vec = [
-                (x - beta_k) * p - gam_prev * pm
-                for x, p, pm in zip(xs, p_cur, p_prev)
-            ]
-            norm2 = mp.fsum(w * t * t for w, t in zip(ws, t_vec))
-            if norm2 <= 0:
-                raise PrecisionError(
-                    f"orthogonality lost at n = {k + 1}; raise dps above {dps}",
-                    failing_index=k + 1,
-                )
-            gam = mp.sqrt(norm2)
-            gammas.append(gam)
-            log_kappa.append(log_kappa[-1] - mp.log(gam))
-            p_prev = p_cur
-            p_cur = [t / gam for t in t_vec]
-
-        gamma_f = np.array([float(g) for g in gammas])
-        beta_f = np.array([float(b) for b in betas])
-        log_kappa_f = np.array([float(lk) for lk in log_kappa])
-    kappa_f = np.exp(log_kappa_f)
-    if np.any(gamma_f <= 0.0):
-        raise PrecisionError("nonpositive gamma after rounding", failing_index=int(np.argmax(gamma_f <= 0)))
+    base_nodes, base_weights = roots_legendre(nodes_per_panel)
+    while True:
+        panels = max(10, math.ceil(2.0 * radius), math.ceil(n_max / 2))
+        half = radius / panels
+        mids = -radius + half * (2 * np.arange(panels) + 1)
+        xs = (mids[:, None] + half * base_nodes).ravel()
+        v_shift = np.polynomial.polynomial.polyval(xs, coeffs) - vmin
+        sqrt_w = np.sqrt(half * np.tile(base_weights, panels)) * np.exp(-0.5 * n_weight * v_shift)
+        gamma, beta, q = _lanczos(xs, sqrt_w, n_max)
+        if float(np.sum(q[n_max, np.abs(xs) >= radius / 1.25] ** 2)) < 1e-30:
+            break
+        radius *= 1.25
+        if radius > _R_MAX:
+            raise DomainError(f"p_{n_max}^2 w does not decay within |x| < {_R_MAX}")
+    # the weight was rescaled by e^{-N vmin}; the leading coefficients of
+    # the unshifted weight gain e^{+N vmin / 2}
+    log_kappa0 = -0.5 * math.log(float(np.dot(sqrt_w, sqrt_w))) + 0.5 * n_weight * vmin
+    log_kappa = log_kappa0 - np.concatenate([[0.0], np.cumsum(np.log(gamma))])
     return RecurrenceTable(
         N=n_weight,
         v_coeffs=coeffs,
-        gamma=gamma_f,
-        beta=beta_f,
-        kappa=kappa_f,
-        log_kappa=log_kappa_f,
-        n_nodes=n_nodes,
-        dps=dps,
+        gamma=gamma,
+        beta=beta,
+        kappa=np.exp(log_kappa),
+        log_kappa=log_kappa,
+        n_nodes=xs.size,
     )
 
 
@@ -372,13 +332,14 @@ def compare_asymptotics(
     n_range: Sequence[int],
     which: str,
     crit: InteriorCriticalData | None = None,
-    dps: int = 60,
     pi2_kwargs: dict | None = None,
 ) -> tuple[list[dict], float]:
     """Numeric (diagonal N = n) vs asymptotic coefficients, with decay fit.
 
     Returns the rows and the least-squares slope of log|gamma error|
-    against log n (the fitted error-decay exponent).
+    against log n (the fitted error-decay exponent).  A row whose
+    recurrence or formula raises keeps NaN in the values it did not
+    reach and the message in ``error``; the other rows are unaffected.
     """
     if which not in ("regular", "interior", "edge"):
         raise DomainError("which must be regular | interior | edge")
@@ -390,26 +351,29 @@ def compare_asymptotics(
         crit = interior_critical_data_t9()
     kw = pi2_kwargs or {}
     for n in n_range:
-        table = compute_recurrence(f, n, n, dps=dps)
-        g_num = float(table.gamma[n - 1])
-        b_num = float(table.beta[n - 1])
-        if which == "regular":
-            g_asym, b_asym = g_lim, b_lim
-        elif which == "interior":
-            g_asym, b_asym = asym_interior(f.x, n, crit)
-        else:
-            g_asym, b_asym = asym_edge(f.x, f.t, n, **kw)
-        rows.append(
-            {
-                "n": int(n),
-                "gamma_num": g_num,
-                "beta_num": b_num,
-                "gamma_asym": g_asym,
-                "beta_asym": b_asym,
-                "err_gamma": abs(g_num - g_asym),
-                "err_beta": abs(b_num - b_asym),
-            }
+        row = dict.fromkeys(
+            ("gamma_num", "beta_num", "gamma_asym", "beta_asym", "err_gamma", "err_beta"), math.nan
         )
+        row.update(n=int(n), error="")
+        try:
+            table = compute_recurrence(f, n, n)
+            g_num = row["gamma_num"] = float(table.gamma[n - 1])
+            b_num = row["beta_num"] = float(table.beta[n - 1])
+            if which == "regular":
+                g_asym, b_asym = g_lim, b_lim
+            elif which == "interior":
+                g_asym, b_asym = asym_interior(f.x, n, crit)
+            else:
+                g_asym, b_asym = asym_edge(f.x, f.t, n, **kw)
+            row.update(
+                gamma_asym=g_asym,
+                beta_asym=b_asym,
+                err_gamma=abs(g_num - g_asym),
+                err_beta=abs(b_num - b_asym),
+            )
+        except KdvrmtError as exc:
+            row["error"] = str(exc)
+        rows.append(row)
     logs = [(math.log(r["n"]), math.log(r["err_gamma"])) for r in rows if r["err_gamma"] > 0.0]
     if len(logs) >= 2:
         xs = np.array([p[0] for p in logs])

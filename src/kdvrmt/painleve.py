@@ -287,6 +287,15 @@ def _cubic_branch(t_param, xv):
     return float(real[np.argmin(np.abs(real - target))])
 
 
+def _default_n_points(t_param: float, big_l: float) -> int:
+    """Default uniform mesh size of ``solve_pi2``.
+
+    Steeper central profiles at larger |T| need denser uniform meshes to
+    keep the fourth-order node error at the 1e-8 level.
+    """
+    return int(big_l * (420.0 + 700.0 * abs(float(t_param)) ** 1.5)) + 1
+
+
 def solve_pi2(
     t_param: float,
     big_l: float = 50.0,
@@ -312,9 +321,7 @@ def solve_pi2(
     """
     t_param = float(t_param)
     if n_points is None:
-        # steeper central profiles at larger |T| need denser uniform meshes
-        # to keep the fourth-order node error at the 1e-8 level
-        n_points = int(big_l * (420.0 + 700.0 * abs(t_param) ** 1.5)) + 1
+        n_points = _default_n_points(t_param, big_l)
     if n_points > 320_000:
         raise DomainError("requested mesh beyond the desk-scale budget; reduce |T| or L")
     if n_points < 200:
@@ -399,7 +406,7 @@ _PI2_CACHE: dict = {}
 def pi2_solution_cached(t_param: float, big_l: float = 50.0, n_points: int | None = None) -> PI2Solution:
     """Memoized ``solve_pi2`` keyed on the exact argument triple."""
     if n_points is None:
-        n_points = int(big_l * (420.0 + 700.0 * abs(float(t_param)) ** 1.5)) + 1
+        n_points = _default_n_points(t_param, big_l)
     key = (float(t_param), float(big_l), int(n_points))
     if key not in _PI2_CACHE:
         _PI2_CACHE[key] = solve_pi2(*key)

@@ -8,15 +8,14 @@ its equilibrium measure minimizes the logarithmic energy among unit
 probability measures.  This module carries the three explicit one-cut
 families (Gaussian line t=0, the x=0 segment 0 < t <= 1, and the
 symmetric line t=9), a generic one-cut endpoint solver, variational
-condition verification with a log-kernel quadrature, singularity
-classification, and the (x,t) phase-diagram sweep.
+condition verification with the exact Chebyshev log potential,
+singularity classification, and the (x,t) phase-diagram sweep.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
 import numpy as np
-from scipy.integrate import quad
 
 from .core import RootConfig, gauss_jacobi_rule, newton_solve
 from .errors import ConvergenceError, DomainError, NotOneCutError
@@ -198,19 +197,29 @@ def measure_t9(x: float) -> EquilibriumMeasure:
 
 
 def log_potential(mu: EquilibriumMeasure, s: float) -> float:
-    """int log|s - y| dmu(y) with splitting at the interior singularity."""
-    s = float(s)
-    total = 0.0
-    for a, b in mu.intervals:
-        fun = lambda y: mu.density(y) * math.log(abs(s - y))
-        if a < s < b:
-            va, _ = quad(fun, a, s, epsabs=1e-12, epsrel=1e-12, limit=300)
-            vb, _ = quad(fun, s, b, epsabs=1e-12, epsrel=1e-12, limit=300)
-            total += va + vb
-        else:
-            v, _ = quad(fun, a, b, epsabs=1e-12, epsrel=1e-12, limit=300)
-            total += v
-    return total
+    """int log|s - y| dmu(y), exactly, by the Chebyshev log-kernel identity.
+
+    With y = c + w u on the support, dmu = (w^2 / 2 pi) Q(u) du / sqrt(1-u^2)
+    where Q(u) = (1 - u^2) h(c + w u) = sum_k q_k T_k(u), and
+    int log|sigma - u| T_k(u) du / sqrt(1-u^2) = -pi Re(z^-k) / k (k >= 1),
+    pi log(|z| / 2) (k = 0), with sigma = (z + 1/z) / 2 and |z| >= 1
+    (Mason & Handscomb, Chebyshev Polynomials, 2003).  On the support
+    Re(z^-k) = T_k(sigma); outside it z is the real Joukowski root.
+    """
+    a, b = mu.support
+    c, w = 0.5 * (a + b), 0.5 * (b - a)
+    poly = np.polynomial.Polynomial
+    q = np.polynomial.chebyshev.poly2cheb(
+        (poly(mu.h_coeffs)(poly([c, w])) * poly([1.0, 0.0, -1.0])).coef
+    )
+    coef = np.concatenate([[0.0], q[1:] / np.arange(1, q.size)])
+    sigma = (float(s) - c) / w
+    if abs(sigma) <= 1.0:
+        log_abs_z, tail = 0.0, np.polynomial.chebyshev.chebval(sigma, coef)
+    else:
+        z = sigma + math.copysign(math.sqrt(sigma * sigma - 1.0), sigma)
+        log_abs_z, tail = math.log(abs(z)), np.polynomial.polynomial.polyval(1.0 / z, coef)
+    return 0.5 * w * w * (q[0] * (math.log(0.5 * w) + log_abs_z) - float(tail))
 
 
 def _default_probes(mu: EquilibriumMeasure, f: QuarticField | None = None):
@@ -245,6 +254,12 @@ def variational_residual(
     2 int log|s-y| dmu - V(s) from a constant on support probes, and the
     minimum of (ell - lhs) over exterior probes (negative = violation).
     """
+    eq_residual, ineq_margin, _ = _variational_check(mu, f, probe_grid)
+    return eq_residual, ineq_margin
+
+
+def _variational_check(mu: EquilibriumMeasure, f: QuarticField, probe_grid=None):
+    """``variational_residual`` plus the exterior probe of smallest margin."""
     if probe_grid is None:
         interior, exterior = _default_probes(mu, f)
     else:
@@ -252,19 +267,18 @@ def variational_residual(
         a, b = mu.support
         interior = probe_grid[(probe_grid > a) & (probe_grid < b)]
         exterior = probe_grid[(probe_grid <= a) | (probe_grid >= b)]
-    lhs_int = np.array(
-        [2.0 * log_potential(mu, s) - float(field_eval(f, s)[0]) for s in interior]
-    )
+
+    def lhs(points):
+        return np.array([2.0 * log_potential(mu, s) - float(field_eval(f, s)[0]) for s in points])
+
+    lhs_int = lhs(interior)
     ell_hat = float(np.mean(lhs_int))
     eq_residual = float(np.max(np.abs(lhs_int - ell_hat))) if lhs_int.size else math.nan
-    if exterior.size:
-        lhs_ext = np.array(
-            [2.0 * log_potential(mu, s) - float(field_eval(f, s)[0]) for s in exterior]
-        )
-        ineq_margin = float(np.min(ell_hat - lhs_ext))
-    else:
-        ineq_margin = math.inf
-    return eq_residual, ineq_margin
+    if not exterior.size:
+        return eq_residual, math.inf, math.nan
+    margins = ell_hat - lhs(exterior)
+    i_min = int(np.argmin(margins))
+    return eq_residual, float(margins[i_min]), float(exterior[i_min])
 
 
 _CHEB_N = 16
@@ -388,7 +402,6 @@ def classify(
     the ambiguity flag.
     """
     a, b = mu.support
-    w = b - a
     dense = np.linspace(a, b, 2001)
     h_vals = np.asarray(mu.h(dense), dtype=float)
     h_scale = float(np.max(np.abs(h_vals)))
@@ -406,16 +419,7 @@ def classify(
     }
     locations = {"interior_II": interior_loc, "edge_III": edge_loc}
     if check_exterior:
-        _, ineq_margin = variational_residual(mu, f)
-        margins["exterior_I"] = ineq_margin
-        _, ext_grid = _default_probes(mu, f)
-        ell_hat = 2.0 * log_potential(mu, 0.5 * (a + b)) - float(
-            field_eval(f, 0.5 * (a + b))[0]
-        )
-        lhs = np.array(
-            [2.0 * log_potential(mu, s) - float(field_eval(f, s)[0]) for s in ext_grid]
-        )
-        locations["exterior_I"] = float(ext_grid[np.argmax(lhs)])
+        _, margins["exterior_I"], locations["exterior_I"] = _variational_check(mu, f)
 
     triggered = {k: m for k, m in margins.items() if m < tol}
     if not triggered:

@@ -140,35 +140,7 @@ def flow_hierarchy(
 def flow_t1(state: TodaState, dt: float, steps: int, drift_tol: float = 1e-6) -> TodaState:
     """First hierarchy flow: eps dgamma/dt = gamma (beta_{n-1} - beta_n)/2,
     eps dbeta/dt = gamma_n^2 - gamma_{n+1}^2, with truncation ends."""
-
-    def rhs(gamma, beta):
-        dgamma = gamma * (beta[:-1] - beta[1:]) / (2.0 * state.eps)
-        g2 = np.concatenate([gamma**2, [0.0]])
-        g2l = np.concatenate([[0.0], gamma**2])
-        dbeta = (g2l - g2) / state.eps
-        return dgamma, dbeta
-
-    if steps == 0:
-        return state
-    gamma = state.gamma.copy()
-    beta = state.beta.copy()
-    spec0 = np.linalg.eigvalsh(jacobi_matrix(state))
-    for _ in range(steps):
-        k1g, k1b = rhs(gamma, beta)
-        k2g, k2b = rhs(gamma + 0.5 * dt * k1g, beta + 0.5 * dt * k1b)
-        k3g, k3b = rhs(gamma + 0.5 * dt * k2g, beta + 0.5 * dt * k2b)
-        k4g, k4b = rhs(gamma + dt * k3g, beta + dt * k3b)
-        gamma = gamma + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-        beta = beta + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        if not np.all(np.isfinite(gamma)) or np.any(gamma <= 0.0):
-            raise StepSizeError("flow left the positive-gamma cone; reduce dt")
-    times = dict(state.times)
-    times[1] = times.get(1, 0.0) + dt * steps
-    out = TodaState(eps=state.eps, gamma=gamma, beta=beta, times=times)
-    drift = float(np.max(np.abs(np.linalg.eigvalsh(jacobi_matrix(out)) - spec0)))
-    if drift > drift_tol:
-        raise StepSizeError(f"Q-spectrum drifted by {drift:.2e} > {drift_tol:.1e}; reduce dt")
-    return out
+    return flow_hierarchy(state, 1, dt, steps, drift_tol)
 
 
 def string_residual(state: TodaState, v_coeffs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -140,6 +140,21 @@ class TestOpTable:
         assert read_bytes(out1 / "op_table.csv") == read_bytes(out2 / "op_table.csv")
 
 
+    def test_failing_row_marked(self, tmp_path):
+        # at n = 80 the edge scaling argument X leaves the solved domain
+        cfg = write_config(
+            tmp_path / "c.cfg", "which = edge\nx = 1.0\nt = 1.0\nn_range = 8, 80\n"
+        )
+        assert cli.main(["op-table", "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = (tmp_path / "op_table.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
+        assert "nan" not in lines[1]
+        assert lines[2].split(",")[2:4] == ["nan", "nan"]
+        doc = json.loads((tmp_path / "op_table.json").read_text())
+        assert [f["n"] for f in doc["failures"]] == [80]
+        assert "outside the solved domain" in doc["failures"][0]["error"]
+
+
 class TestTodaRun:
     def test_zero_steps_echoes_input(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", "N = 20\nn_max = 16\nsteps = 0\n")
@@ -171,6 +186,25 @@ class TestTodaRun:
         assert read_bytes(out1 / "toda_run.json") == read_bytes(out2 / "toda_run.json")
 
 
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        ("kdv-phase", "t_grd"),
+        ("kdv-compare", "t_grd"),
+        ("rmt-phase", "t_grd"),
+        ("op-table", "t_grd"),
+        ("op-table", "dps"),  # the recurrence runs in float64; no precision knob
+        ("toda-run", "t_grd"),
+    ],
+)
+def test_unknown_config_key_rejected(tmp_path, command, key, capsys):
+    # a misspelled key must not fall back silently to the default
+    cfg = write_config(tmp_path / "c.cfg", f"{key} = 0.3\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         import subprocess, sys
@@ -181,3 +215,12 @@ class TestEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 0
+
+    def test_import_does_not_load_mpmath(self):
+        import subprocess, sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kdvrmt.cli; assert 'mpmath' not in sys.modules"],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()

@@ -1,13 +1,12 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import qmc
 
 from kdvrmt import orthopoly, painleve, rmt_eq
-from kdvrmt.errors import DomainError
+from kdvrmt.errors import DomainError, PrecisionError
 
 from oracles import hankel_recurrence
 
@@ -69,9 +68,17 @@ class TestComputeRecurrence:
         gram = np.array([[np.sum(w * pi * pj) for pj in polys] for pi in polys])
         assert np.max(np.abs(gram - np.eye(13))) < 1e-8
 
-    def test_desk_cap(self):
-        with pytest.raises(DomainError):
-            orthopoly.compute_recurrence([0.0, 0.0, 0.5], 10, 100)
+    def test_edge_critical_n64_converged(self):
+        # p_64^2 w reaches past the weight-tail radius here; values
+        # converged at R = 6-10 with 60-200 panels
+        tab = orthopoly.compute_recurrence(rmt_eq.QuarticField(0.0, 1.0), 64, 64)
+        assert tab.gamma[63] == pytest.approx(0.9598093916357714, abs=1e-12)
+        assert tab.beta[63] == pytest.approx(-0.1714751771394950, abs=1e-12)
+
+    def test_orthogonality_loss_raises(self):
+        # 40 nodes cannot carry 41 orthonormal polynomials
+        with pytest.raises(PrecisionError):
+            orthopoly.compute_recurrence([0.0, 0.0, 0.5], 10, 40, nodes_per_panel=2)
 
     def test_rejects_odd_degree(self):
         with pytest.raises(DomainError):
@@ -242,6 +249,15 @@ class TestCompare:
         for r in rows:
             assert r["err_gamma"] < 1e-10
             assert r["err_beta"] < 1e-10
+
+    def test_regular_n200_in_regime(self):
+        f = rmt_eq.QuarticField(-1.0, 0.5)
+        rows, _ = orthopoly.compare_asymptotics(f, [200], "regular")
+        assert rows[0]["err_gamma"] < 1e-5
+        tab = orthopoly.compute_recurrence(f, 200, 200)
+        fine = orthopoly.compute_recurrence(f, 200, 200, nodes_per_panel=96)
+        assert np.max(np.abs(tab.gamma - fine.gamma)) < 1e-13
+        assert np.max(np.abs(tab.beta - fine.beta)) < 1e-13
 
     def test_onecut_tail_slope(self):
         # the n^-2 coefficient is modulated, so the fit needs every
