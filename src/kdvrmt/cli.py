@@ -98,7 +98,7 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def cmd_kdv_phase(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
+def cmd_kdv_phase(cfg: dict, out: Path, jobs: int) -> int:
     data = _initial_data(cfg)
     cp = hopf.breaking_point(data)
     t_grid = _floats(cfg, "t_grid", "")
@@ -118,13 +118,12 @@ def cmd_kdv_phase(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
             "x_c": cp.x_c,
             "rows": len(rows),
             "failed_rows": len(failures),
-            "tol_scale": tol_scale,
         },
     )
     return 2 if failures else 0
 
 
-def cmd_kdv_compare(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
+def cmd_kdv_compare(cfg: dict, out: Path, jobs: int) -> int:
     data = _initial_data(cfg)
     eps_list = _floats(cfg, "eps_list", "0.2,0.1")
     window = cfg.get("window", "hopf")
@@ -170,15 +169,15 @@ def cmd_kdv_compare(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
         out / "kdv_compare.json",
         "kdv-compare",
         cfg,
-        {"window": window, "t": t, "failures": errors, "tol_scale": tol_scale},
+        {"window": window, "t": t, "failures": errors},
     )
     return 2 if errors else 0
 
 
-def cmd_rmt_phase(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
+def cmd_rmt_phase(cfg: dict, out: Path, jobs: int) -> int:
     x_grid = _floats(cfg, "x_grid", "-4.0,-3.0,-2.0,-1.0,0.0")
     t_grid = _floats(cfg, "t_grid", "0.5,1.0")
-    rows = rmt_eq.rmt_phase_diagram(x_grid, t_grid, classify_tol=1e-6 * tol_scale)
+    rows = rmt_eq.rmt_phase_diagram(x_grid, t_grid)
     table = [[r["x"], r["t"], r["class"], r["margin"]] for r in rows]
     _write_csv(out / "rmt_phase.csv", ["x", "t", "class", "margin"], table)
     failures = [r for r in rows if r["class"] == "failed"]
@@ -186,12 +185,12 @@ def cmd_rmt_phase(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
         out / "rmt_phase.json",
         "rmt-phase",
         cfg,
-        {"rows": len(rows), "failed_cells": len(failures), "tol_scale": tol_scale},
+        {"rows": len(rows), "failed_cells": len(failures)},
     )
     return 2 if failures else 0
 
 
-def cmd_op_table(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
+def cmd_op_table(cfg: dict, out: Path, jobs: int) -> int:
     which = cfg.get("which", "regular")
     x = float(cfg.get("x", "0.0"))
     t = float(cfg.get("t", "0.0"))
@@ -212,12 +211,12 @@ def cmd_op_table(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
         out / "op_table.json",
         "op-table",
         cfg,
-        {"which": which, "fitted_exponent": slope, "failures": failures, "tol_scale": tol_scale},
+        {"which": which, "fitted_exponent": slope, "failures": failures},
     )
     return 2 if failures else 0
 
 
-def cmd_toda_run(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
+def cmd_toda_run(cfg: dict, out: Path, jobs: int) -> int:
     n_weight = int(cfg.get("N", "20"))
     n_max = int(cfg.get("n_max", "32"))
     k = int(cfg.get("flow_k", "1"))
@@ -245,7 +244,6 @@ def cmd_toda_run(cfg: dict, out: Path, jobs: int, tol_scale: float) -> int:
             "steps": steps,
             "times": {str(kk): vv for kk, vv in state.times.items()},
             "spectrum_drift": drift,
-            "tol_scale": tol_scale,
         },
     )
     return 0
@@ -275,7 +273,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--tol-scale", type=float, default=1.0)
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -286,7 +283,7 @@ def main(argv=None) -> int:
         if unknown:
             raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
         out.mkdir(parents=True, exist_ok=True)
-        code = command(cfg, out, args.jobs, args.tol_scale)
+        code = command(cfg, out, args.jobs)
     except (ValueError, KdvrmtError) as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return 1

@@ -1,12 +1,14 @@
 """Special functions and generic solvers used by every other module.
 
-Everything here is a pure function of its inputs; there is no shared
-mutable state, so concurrent use from several threads is safe.
+Everything here is a pure function of its inputs; the only shared state
+is a bounded cache of read-only quadrature rules, so concurrent use from
+several threads is safe.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +28,6 @@ __all__ = [
     "airy",
     "complete_elliptic",
     "theta3",
-    "gauss_legendre_rule",
     "gauss_jacobi_rule",
     "newton_solve",
     "sech2",
@@ -40,24 +41,21 @@ _EPS = np.finfo(float).eps
 class QuadratureRule:
     """Nodes and positive weights of a fixed quadrature rule.
 
-    ``kind`` tags the family: ``"gauss-legendre"``, ``"gauss-jacobi"``
-    (with the endpoint exponents appended) or ``"trapezoid-periodic"``.
+    Both arrays are read-only copies, so a cached rule can be shared.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.nodes.size < 1:
             raise DomainError("quadrature rule needs at least one node")
         if np.any(self.weights <= 0.0):
             raise DomainError("quadrature weights must be positive")
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 @dataclass(frozen=True)
@@ -183,19 +181,14 @@ def theta3(z: float, tau: complex, dz: int = 0) -> float:
     return total
 
 
-def gauss_legendre_rule(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule on [-1, 1]."""
-    if n < 1:
-        raise DomainError("need n >= 1 nodes")
-    x, w = sspecial.roots_legendre(n)
-    return QuadratureRule(nodes=x, weights=w, kind="gauss-legendre")
-
-
+@lru_cache(maxsize=64)
 def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     """n-point Gauss-Jacobi rule for weight (1-x)^alpha (1+x)^beta on [-1, 1].
 
     Exact for polynomials of degree 2n-1 against that weight; used for
-    the inverse-square-root endpoint factors in the edge integrals.
+    the inverse-square-root endpoint factors in the edge integrals, and
+    with alpha = beta = 0 as the Gauss-Legendre rule.  Rules are cached
+    (bounded) and read-only, so repeated calls return the same object.
     """
     if n < 1:
         raise DomainError("need n >= 1 nodes")
@@ -205,7 +198,7 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
         x, w = sspecial.roots_legendre(n)
     else:
         x, w = sspecial.roots_jacobi(n, alpha, beta)
-    return QuadratureRule(nodes=x, weights=w, kind=f"gauss-jacobi({alpha},{beta})")
+    return QuadratureRule(nodes=x, weights=w)
 
 
 def _fd_jacobian(f: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:

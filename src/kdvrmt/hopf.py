@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -59,12 +58,12 @@ class InitialData:
     domain_halfwidth: float
     label: str = "custom"
 
-    def self_check(self, n_grid: int = 400) -> None:
+    def self_check(self) -> None:
         """Verify the structural invariants on a sample grid."""
         if abs(float(self.u0(self.x_M)) + 1.0) > 1e-10:
             raise DomainError("u0 must attain the value -1 at its minimum x_M")
         h = self.domain_halfwidth
-        xs = np.linspace(-h, self.x_M, n_grid)
+        xs = np.linspace(-h, self.x_M, 400)
         us = np.asarray(self.u0(xs), dtype=float)
         if np.any(us >= 0.0):
             raise DomainError("u0 must be negative on the sampled grid")
@@ -231,13 +230,13 @@ def hopf_solve(x: float, t: float, data: InitialData) -> float:
     return float(data.u0(xi))
 
 
-def breaking_point(data: InitialData, genericity_tol: float = 1e-6) -> CatastrophePoint:
+def breaking_point(data: InitialData) -> CatastrophePoint:
     """First gradient catastrophe: t_c = 1 / max_xi(-6 u0'(xi)).
 
     The maximizer is located by a grid scan plus bounded scalar
     minimization; the catastrophe is declared non-generic if the second
-    derivative of -6 u0' at the maximizer is below ``genericity_tol``
-    (flat maximum).
+    derivative of -6 u0' at the maximizer is below 1e-6 in absolute
+    value (flat maximum).
     """
     h = data.domain_halfwidth
 
@@ -261,7 +260,7 @@ def breaking_point(data: InitialData, genericity_tol: float = 1e-6) -> Catastrop
         raise GenericityError("u0' has no negative minimum; no catastrophe")
     step = 1e-4 * max(1.0, abs(xi_c))
     curv = (float(slope(xi_c + step)) - 2.0 * m_max + float(slope(xi_c - step))) / step**2
-    if abs(curv) < genericity_tol:
+    if abs(curv) < 1e-6:
         raise GenericityError("degenerate (flat) maximum of -6 u0'; data non-generic")
     t_c = 1.0 / m_max
     u_c = float(data.u0(xi_c))
@@ -270,72 +269,56 @@ def breaking_point(data: InitialData, genericity_tol: float = 1e-6) -> Catastrop
     return CatastrophePoint(x_c=x_c, t_c=t_c, u_c=u_c, xi_c=xi_c, k=k)
 
 
-@lru_cache(maxsize=32)
-def _sqrt_weight_rule(n: int):
-    rule = gauss_jacobi_rule(n, -0.5, 0.0)
-    return rule.nodes, rule.weights
-
-
 _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
 
-def _theta_quadrature(lam: float, u: float, deriv_fn, power: int, tol: float) -> float:
-    lam = float(lam)
+def _theta_quadrature(lam, u: float, deriv_fn, power: int):
+    """(1/(2 sqrt 2)) int ((1+m)/2)^power deriv_fn(z) / sqrt(1-m) dm.
+
+    ``lam`` is a scalar (a float comes back) or an array, evaluated
+    against the nodes as ``lam[..., None]``.  Node counts double from 48
+    until no value moves by 1e-10 or more.  The factor ((1+m)/2)^power
+    is folded into the weights, so no integrand-sized product is formed.
+    """
+    lam = np.asarray(lam, dtype=float)
     u = float(u)
-    for v in (lam, u):
-        if not -1.0 < v < 0.0:
-            raise DomainError(f"theta arguments must lie in (-1, 0); got {v}")
+    if not (-1.0 < u < 0.0 and np.all((lam > -1.0) & (lam < 0.0))):
+        raise DomainError(
+            f"theta arguments must lie in (-1, 0); got lam in [{lam.min()}, {lam.max()}], u = {u}"
+        )
     prev = None
     n = 48
     while n <= 3072:
-        m, w = _sqrt_weight_rule(n)
-        z = 0.5 * (1.0 + m) * lam + 0.5 * (1.0 - m) * u
-        factor = (0.5 * (1.0 + m)) ** power if power else 1.0
-        val = _INV_2SQRT2 * float(np.dot(w, np.asarray(deriv_fn(z), dtype=float) * factor))
-        if prev is not None and abs(val - prev) < tol:
-            return val
+        rule = gauss_jacobi_rule(n, -0.5, 0.0)
+        m = rule.nodes
+        w = rule.weights * (0.5 * (1.0 + m)) ** power if power else rule.weights
+        z = 0.5 * (1.0 + m) * lam[..., None] + 0.5 * (1.0 - m) * u
+        val = _INV_2SQRT2 * (np.asarray(deriv_fn(z), dtype=float) @ w)
+        if prev is not None and np.max(np.abs(val - prev)) < 1e-10:
+            return float(val) if val.ndim == 0 else val
         prev = val
         n *= 2
     raise AccuracyError("theta quadrature did not converge under node doubling")
 
 
-def theta_of(lam: float, u: float, data: InitialData, tol: float = 1e-10) -> float:
+def theta_of(lam, u: float, data: InitialData):
     """The kernel theta(lam; u); constant f_L' makes it that constant.
 
-    Node counts are doubled until the value moves by less than ``tol``.
+    ``lam`` may be a scalar or an array of first arguments.
     """
-    return _theta_quadrature(lam, u, data.f_L_prime, 0, tol)
+    return _theta_quadrature(lam, u, data.f_L_prime, 0)
 
 
-def theta_many(lams, u: float, data: InitialData, tol: float = 1e-10) -> np.ndarray:
-    """Vectorized theta(lam; u) over an array of first arguments."""
-    lams = np.asarray(lams, dtype=float)
-    u = float(u)
-    if not -1.0 < u < 0.0 or np.any(lams <= -1.0) or np.any(lams >= 0.0):
-        raise DomainError("theta arguments must lie in (-1, 0)")
-    prev = None
-    n = 48
-    while n <= 3072:
-        m, w = _sqrt_weight_rule(n)
-        z = 0.5 * (1.0 + m)[None, :] * lams[:, None] + 0.5 * (1.0 - m)[None, :] * u
-        val = _INV_2SQRT2 * (np.asarray(data.f_L_prime(z), dtype=float) @ w)
-        if prev is not None and float(np.max(np.abs(val - prev))) < tol:
-            return val
-        prev = val
-        n *= 2
-    raise AccuracyError("theta quadrature did not converge under node doubling")
-
-
-def theta_v(lam: float, u: float, data: InitialData, tol: float = 1e-10) -> float:
+def theta_v(lam, u: float, data: InitialData):
     """First derivative of theta in its first argument.
 
     Differentiated under the integral using the closed-form f_L'' carried
     by the initial data (better conditioned than finite differences of
     theta itself, which are kept as a cross-check in the tests).
     """
-    return _theta_quadrature(lam, u, data.f_L_second, 1, tol)
+    return _theta_quadrature(lam, u, data.f_L_second, 1)
 
 
-def theta_vv(lam: float, u: float, data: InitialData, tol: float = 1e-10) -> float:
+def theta_vv(lam, u: float, data: InitialData):
     """Second derivative of theta in its first argument (uses f_L''')."""
-    return _theta_quadrature(lam, u, data.f_L_third, 2, tol)
+    return _theta_quadrature(lam, u, data.f_L_third, 2)

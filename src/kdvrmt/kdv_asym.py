@@ -26,7 +26,6 @@ from .hopf import (
     CatastrophePoint,
     InitialData,
     breaking_point,
-    theta_many,
     theta_of,
     theta_v,
     theta_vv,
@@ -109,6 +108,11 @@ class EllipticAnsatz:
 # edge systems
 # ----------------------------------------------------------------------
 
+# starting node count of the (0, 1/2) Gauss-Jacobi rule that absorbs the
+# square-root endpoint factor of the trailing and phase integrals
+_SQRT_RULE_NODES = 96
+
+
 def _leading_system(t: float, data: InitialData):
     # unknowns (u, log gap), v = u - e^g: keeps u > v strictly and Newton
     # away from the degenerate diagonal v = u
@@ -120,21 +124,21 @@ def _leading_system(t: float, data: InitialData):
     return fun
 
 
-def trailing_integral(u: float, v: float, t: float, data: InitialData, n: int = 96) -> float:
+def trailing_integral(u: float, v: float, t: float, data: InitialData) -> float:
     """int_u^v (6t + theta(lam; u)) sqrt(lam - u) dlam by Gauss-Jacobi.
 
     The sqrt(lam - u) endpoint factor is absorbed into a (0, 1/2) rule
-    mapped onto [u, v]; the node count doubles once as a convergence
+    mapped onto [u, v]; the node count doubles from 96 as a convergence
     guard (the integrand is smooth).
     """
     if v <= u:
         raise DomainError("trailing integral needs v > u")
     prev = None
-    nodes = n
+    nodes = _SQRT_RULE_NODES
     while nodes <= 768:
         rule = gauss_jacobi_rule(nodes, 0.0, 0.5)
         lam = u + (v - u) * 0.5 * (1.0 + rule.nodes)
-        vals = 6.0 * t + theta_many(lam, u, data)
+        vals = 6.0 * t + theta_of(lam, u, data)
         scale = ((v - u) * 0.5) ** 1.5
         out = scale * float(np.dot(rule.weights, vals))
         if prev is not None and abs(out - prev) < 1e-10:
@@ -176,20 +180,20 @@ def _edge_seed(kind: str, t: float, cp: CatastrophePoint):
 
 
 def _solve_edge(
-    kind: str, t: float, data: InitialData, warm: tuple | None = None
+    kind: str, t: float, data: InitialData, cp: CatastrophePoint, warm: tuple | None = None
 ) -> EdgeSolution:
-    cp = breaking_point(data)
     if t <= cp.t_c:
         raise DomainError(f"edge systems exist only for t > t_c = {cp.t_c:.10f}")
     system = _leading_system if kind == "leading" else _trailing_system
     cfg = RootConfig(abs_tol=1e-11, max_iter=60)
 
-    # continuation from just past the catastrophe point (or from a warm
-    # start); the asymptotic seed is exact to O(t - t_c)
-    if warm is not None and warm[0] < t:
+    # continuation from just past the catastrophe point, where the
+    # asymptotic seed is exact to O(t - t_c), or from a warm start that
+    # lies further along
+    t_start = min(t, cp.t_c + 1e-4)
+    if warm is not None and t_start < warm[0] < t:
         t_start, w = warm[0], np.asarray(warm[1], dtype=float)
     else:
-        t_start = cp.t_c + min(1e-4, 0.1 * (t - cp.t_c))
         w = _edge_seed(kind, t_start, cp)
     n_steps = max(1, int(math.ceil((t - t_start) / 0.01)))
     t_path = list(np.linspace(t_start, t, n_steps + 1))
@@ -203,6 +207,8 @@ def _solve_edge(
             i += 1
             half = 0
         except (ConvergenceError, DomainError, AccuracyError):
+            if i == 0:  # the start point itself fails: nothing to bisect
+                raise
             half += 1
             if half > 12:
                 raise ConvergenceError(
@@ -210,8 +216,7 @@ def _solve_edge(
                     "(end of the validity window)",
                     last_iterate=w,
                 )
-            t_prev = t_path[i - 1] if i > 0 else t_start
-            t_path.insert(i, 0.5 * (t_prev + t_i))
+            t_path.insert(i, 0.5 * (t_path[i - 1] + t_i))
     u = float(w[0])
     gap = math.exp(float(w[1]))
     v = u - gap if kind == "leading" else u + gap
@@ -230,29 +235,31 @@ def solve_leading_edge(t: float, data: InitialData) -> EdgeSolution:
     continuation seeded at the catastrophe point, then places the edge at
     x = 6 t u + f_L(u).
     """
-    return _solve_edge("leading", t, data)
+    return _solve_edge("leading", t, data, breaking_point(data))
 
 
 def solve_trailing_edge(t: float, data: InitialData) -> EdgeSolution:
     """Right boundary: same first equation, weighted-integral second one."""
-    return _solve_edge("trailing", t, data)
+    return _solve_edge("trailing", t, data, breaking_point(data))
 
 
 def kdv_phase_diagram(data: InitialData, t_grid) -> list[dict]:
     """Edge curves x^-(t), x^+(t) along a time grid past the catastrophe.
 
-    Continuation is chained along the grid (each row warm-starts from the
-    previous one).  Returns one row per grid time with keys t, x_minus,
-    x_plus and error; a continuation failure marks the row (leaving that
-    edge as nan) instead of aborting the sweep.
+    Continuation is chained along the grid: each row warm-starts from the
+    previous one once that lies past the seed point t_c + 1e-4.  Returns
+    one row per grid time with keys t, x_minus, x_plus and error; a
+    failure marks the row (leaving that edge as nan) instead of aborting
+    the sweep.
     """
+    cp = breaking_point(data)
     rows = []
     warm = {"leading": None, "trailing": None}
     for t in np.asarray(t_grid, dtype=float):
         row = {"t": float(t), "x_minus": math.nan, "x_plus": math.nan, "error": ""}
         for kind, column in (("leading", "x_minus"), ("trailing", "x_plus")):
             try:
-                edge = _solve_edge(kind, float(t), data, warm=warm[kind])
+                edge = _solve_edge(kind, float(t), data, cp, warm=warm[kind])
                 warm[kind] = _warm_from(edge)
                 row[column] = edge.x_edge
             except (ConvergenceError, DomainError, AccuracyError) as exc:
@@ -313,10 +320,10 @@ def catastrophe_approx(
     return cp.u_c + (2.0 * eps**2 / k**2) ** (1.0 / 7.0) * float(u_val)
 
 
-def _phase_integral(edge: EdgeSolution, t: float, data: InitialData, n: int = 96) -> float:
+def _phase_integral(edge: EdgeSolution, t: float, data: InitialData) -> float:
     """int_v^u (f_L'(xi) + 6t) sqrt(xi - v) dxi with the (0,1/2) rule."""
     u, v = edge.u, edge.v
-    rule = gauss_jacobi_rule(n, 0.0, 0.5)
+    rule = gauss_jacobi_rule(_SQRT_RULE_NODES, 0.0, 0.5)
     xi = v + (u - v) * 0.5 * (1.0 + rule.nodes)
     vals = np.asarray(data.f_L_prime(xi), dtype=float) + 6.0 * t
     return ((u - v) * 0.5) ** 1.5 * float(np.dot(rule.weights, vals))

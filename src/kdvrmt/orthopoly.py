@@ -21,10 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import roots_legendre
 
 from . import painleve, rmt_eq
-from .core import sech2_train
+from .core import gauss_jacobi_rule, sech2_train
 from .errors import DomainError, KdvrmtError, PrecisionError
 from .rmt_eq import QuarticField, X_STAR, field_coeffs
 
@@ -166,14 +165,14 @@ def compute_recurrence(
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     radius, vmin = _truncation_radius(coeffs, n_weight)
-    base_nodes, base_weights = roots_legendre(nodes_per_panel)
+    base = gauss_jacobi_rule(nodes_per_panel, 0.0, 0.0)
     while True:
         panels = max(10, math.ceil(2.0 * radius), math.ceil(n_max / 2))
         half = radius / panels
         mids = -radius + half * (2 * np.arange(panels) + 1)
-        xs = (mids[:, None] + half * base_nodes).ravel()
+        xs = (mids[:, None] + half * base.nodes).ravel()
         v_shift = np.polynomial.polynomial.polyval(xs, coeffs) - vmin
-        sqrt_w = np.sqrt(half * np.tile(base_weights, panels)) * np.exp(-0.5 * n_weight * v_shift)
+        sqrt_w = np.sqrt(half * np.tile(base.weights, panels)) * np.exp(-0.5 * n_weight * v_shift)
         gamma, beta, q = _lanczos(xs, sqrt_w, n_max)
         if float(np.sum(q[n_max, np.abs(xs) >= radius / 1.25] ** 2)) < 1e-30:
             break
@@ -301,14 +300,13 @@ class ConjecturedExteriorResult:
 class ExteriorParams:
     """Caller-supplied data of the exterior-point train ansatz.
 
-    The coefficients c2(y, k) and c3(k) are left symbolic by the theory;
-    they must be provided as callables.  ``c0`` rescales the x-offset and
-    ``c1`` the train amplitude.
+    The coefficients c2(y, k) and c3(k) are left symbolic by the theory,
+    so they must be provided as callables.  ``c1`` scales the train
+    amplitude.
     """
 
     a: float
     b: float
-    c0: float
     c1: float
     c2: Callable
     c3: Callable

@@ -377,7 +377,6 @@ def test_criterion_12_shared_kernel_and_cli_determinism(tmp_path, sech2):
     params = orthopoly.ExteriorParams(
         a=0.0,
         b=0.0,
-        c0=1.0,
         c1=1.0,
         c2=lambda yy, k: 0.0,
         c3=lambda k: kdv_asym.trailing_offset(k, y, eps, log_gamma),

@@ -128,7 +128,7 @@ class TestQuadratureRules:
         assert val == pytest.approx(exact, rel=1e-12)
 
     def test_gauss_legendre_polynomial_exactness(self):
-        rule = core.gauss_legendre_rule(6)
+        rule = core.gauss_jacobi_rule(6, 0.0, 0.0)
         # degree 11 polynomial integrated exactly
         coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.5, 1.1, 0.0, 0.25, -0.1, 0.05, 0.4, -0.02])
         vals = np.polynomial.polynomial.polyval(rule.nodes, coeffs)
@@ -140,12 +140,20 @@ class TestQuadratureRules:
     @given(st.integers(min_value=1, max_value=40))
     @settings(max_examples=25, deadline=None)
     def test_weight_sum_is_interval_length(self, n):
-        rule = core.gauss_legendre_rule(n)
+        rule = core.gauss_jacobi_rule(n, 0.0, 0.0)
         assert rule.weights.sum() == pytest.approx(2.0, rel=1e-12)
 
     def test_invalid_exponents(self):
         with pytest.raises(DomainError):
             core.gauss_jacobi_rule(4, -1.0, 0.0)
+
+    def test_rule_is_cached_and_read_only(self):
+        rule = core.gauss_jacobi_rule(12, -0.5, 0.0)
+        assert core.gauss_jacobi_rule(12, -0.5, 0.0) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 1.0
 
 
 class TestNewtonSolve:

@@ -190,6 +190,16 @@ class TestThetaKernel:
         with pytest.raises(DomainError):
             hopf.theta_of(-0.5, -1.2, data)
 
+    @pytest.mark.parametrize("fn", [hopf.theta_of, hopf.theta_v, hopf.theta_vv])
+    def test_array_matches_scalar_calls(self, data, fn):
+        lams = np.linspace(-0.8, -0.1, 29)
+        for u in (-0.9, -0.5, -0.2):
+            vals = fn(lams, u, data)
+            assert isinstance(vals, np.ndarray) and vals.shape == lams.shape
+            scalars = [fn(float(lam), u, data) for lam in lams]
+            assert all(isinstance(s, float) for s in scalars)
+            np.testing.assert_allclose(vals, scalars, rtol=1e-12, atol=0.0)
+
     @given(st.floats(min_value=-0.95, max_value=-0.05))
     @settings(max_examples=20, deadline=None)
     def test_diagonal_property(self, u):

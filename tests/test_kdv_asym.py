@@ -97,6 +97,26 @@ class TestPhaseDiagram:
         assert math.isnan(rows[1]["x_plus"])
         assert not math.isnan(rows[1]["x_minus"])  # leading edge still fine
 
+    def test_chained_sweep_from_the_fold(self, data, cp):
+        # the fold row lies before the seed point, and its gap is far too
+        # small at 0.22: a warm start from it can land on a wrong branch
+        rows = kdv_asym.kdv_phase_diagram(data, [cp.t_c + 1e-6, 0.22])
+        assert rows[1]["error"] == ""
+        lead = kdv_asym.solve_leading_edge(0.22, data)
+        trail = kdv_asym.solve_trailing_edge(0.22, data)
+        assert rows[1]["x_minus"] == pytest.approx(lead.x_edge, abs=1e-8)
+        assert rows[1]["x_plus"] == pytest.approx(trail.x_edge, abs=1e-8)
+
+    def test_sampled_data_row_names_the_theta_quadrature(self, data, tmp_path):
+        # piecewise-cubic f_L' never meets the node-doubling tolerance; the
+        # row reports that first failure, not a bisected continuation
+        xs = np.linspace(-15.0, 15.0, 1201)
+        path = tmp_path / "profile.csv"
+        np.savetxt(path, np.column_stack([xs, np.asarray(data.u0(xs))]), delimiter=",")
+        rows = kdv_asym.kdv_phase_diagram(hopf.load_initial_data_csv(path), [0.22])
+        assert "theta quadrature" in rows[0]["error"]
+        assert "validity window" not in rows[0]["error"]
+
     def test_cusp_vertex(self, data, cp):
         rows = kdv_asym.kdv_phase_diagram(data, [cp.t_c + 1e-6])
         assert rows[0]["x_minus"] == pytest.approx(cp.x_c, abs=1e-3)

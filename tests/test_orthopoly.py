@@ -194,7 +194,7 @@ class TestAsymptotics:
 class TestConjecturedExterior:
     def test_suppressed_train_reduces_to_onecut(self):
         params = orthopoly.ExteriorParams(
-            a=-2.0, b=2.0, c0=1.0, c1=0.5, c2=lambda y, k: 0.0, c3=lambda k: 40.0 + k
+            a=-2.0, b=2.0, c1=0.5, c2=lambda y, k: 0.0, c3=lambda k: 40.0 + k
         )
         out = orthopoly.conjectured_exterior(0.3, 50, params)
         assert out.conjectural
@@ -207,7 +207,6 @@ class TestConjecturedExterior:
         params = orthopoly.ExteriorParams(
             a=-2.0,
             b=2.0,
-            c0=1.0,
             c1=0.7,
             c2=lambda y, k: 1.0 + k,
             c3=lambda k: (1.0 + k) * math.log(50) if k == 0 else -10.0 * (k + 1),
@@ -232,7 +231,6 @@ class TestConjecturedExterior:
         params = orthopoly.ExteriorParams(
             a=0.0,
             b=0.0,
-            c0=1.0,
             c1=1.0,
             c2=lambda yy, k: 0.0,
             c3=lambda k: kdv_asym.trailing_offset(k, y, eps, log_gamma),
