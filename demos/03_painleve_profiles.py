@@ -19,7 +19,7 @@ print(f"  q(-8)/2     = {painleve.eval_hm(hm, -8.0)/2.0:.10f}")
 print(f"  min q       = {hm.q_values.min():.3e}  (positive branch)")
 
 q0_shoot = painleve.hm_center_by_shooting()
-print(f"  q(0) by nested shooting = {q0_shoot:.12f}")
+print(f"  q(0) by backward IVP    = {q0_shoot:.12f}")
 print(f"  route agreement: {abs(q0_shoot - painleve.eval_hm(hm, 0.0)):.2e}")
 
 print("\n== pole-free fourth-order profile ==")

@@ -129,7 +129,8 @@ def trailing_integral(u: float, v: float, t: float, data: InitialData) -> float:
 
     The sqrt(lam - u) endpoint factor is absorbed into a (0, 1/2) rule
     mapped onto [u, v]; the node count doubles from 96 as a convergence
-    guard (the integrand is smooth).
+    guard (the integrand is smooth), and AccuracyError is raised if two
+    rules still differ by 1e-10 at 768 nodes.
     """
     if v <= u:
         raise DomainError("trailing integral needs v > u")
@@ -145,7 +146,7 @@ def trailing_integral(u: float, v: float, t: float, data: InitialData) -> float:
             return out
         prev = out
         nodes *= 2
-    return prev
+    raise AccuracyError(f"trailing integral on [{u:.6g}, {v:.6g}] unconverged at 768 nodes")
 
 
 def _trailing_system(t: float, data: InitialData):

@@ -158,6 +158,8 @@ def compute_recurrence(
     keep every node on the support representable.  R starts where the
     weight tail is below 1e-30 and grows by 1.25x until p_{n_max}^2 w
     holds less than 1e-30 of its mass in the outer ring |x| >= R / 1.25.
+    PrecisionError is raised if the recurrence replayed on a rule with
+    one more panel leaves p_{n_max} off orthonormal by more than 1e-10.
     """
     coeffs = _as_poly(v)
     n_weight = int(n_weight)
@@ -166,19 +168,38 @@ def compute_recurrence(
         raise DomainError("n_max must be >= 1")
     radius, vmin = _truncation_radius(coeffs, n_weight)
     base = gauss_jacobi_rule(nodes_per_panel, 0.0, 0.0)
-    while True:
-        panels = max(10, math.ceil(2.0 * radius), math.ceil(n_max / 2))
+
+    def measure(panels):
         half = radius / panels
         mids = -radius + half * (2 * np.arange(panels) + 1)
         xs = (mids[:, None] + half * base.nodes).ravel()
         v_shift = np.polynomial.polynomial.polyval(xs, coeffs) - vmin
-        sqrt_w = np.sqrt(half * np.tile(base.weights, panels)) * np.exp(-0.5 * n_weight * v_shift)
+        return xs, np.sqrt(half * np.tile(base.weights, panels)) * np.exp(-0.5 * n_weight * v_shift)
+
+    while True:
+        panels = max(10, math.ceil(2.0 * radius), math.ceil(n_max / 2))
+        xs, sqrt_w = measure(panels)
         gamma, beta, q = _lanczos(xs, sqrt_w, n_max)
         if float(np.sum(q[n_max, np.abs(xs) >= radius / 1.25] ** 2)) < 1e-30:
             break
         radius *= 1.25
         if radius > _R_MAX:
             raise DomainError(f"p_{n_max}^2 w does not decay within |x| < {_R_MAX}")
+    # the rule must resolve the weight, not only keep Q orthogonal: replay
+    # the recurrence on one more panel and check that p_{n_max} stays
+    # orthonormal there
+    x2, q_cur = measure(panels + 1)
+    q_cur = q_cur / np.linalg.norm(q_cur)
+    q_prev = np.zeros_like(x2)
+    for k in range(n_max):
+        q_next = ((x2 - beta[k]) * q_cur - (gamma[k - 1] * q_prev if k else 0.0)) / gamma[k]
+        q_prev, q_cur = q_cur, q_next
+    drift = max(abs(float(q_cur @ q_cur) - 1.0), abs(float(q_cur @ q_prev)))
+    if not drift <= 1e-10:
+        raise PrecisionError(
+            f"the rule does not resolve the weight: p_{n_max} is off by {drift:.1e} on a shifted rule",
+            failing_index=n_max,
+        )
     # the weight was rescaled by e^{-N vmin}; the leading coefficients of
     # the unshifted weight gain e^{+N vmin / 2}
     log_kappa0 = -0.5 * math.log(float(np.dot(sqrt_w, sqrt_w))) + 0.5 * n_weight * vmin

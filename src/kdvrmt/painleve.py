@@ -525,85 +525,25 @@ def default_hm_grid(big_s: float = 10.0, n_points: int = 4001) -> HMGrid:
 # shooting routes (independent of the collocation path)
 # ----------------------------------------------------------------------
 
-def _hm_ivp(s_span, q0, q1, rtol=1e-12):
-    blow_hi = lambda s, y: y[0] - 6.0
-    blow_hi.terminal = True
-    blow_lo = lambda s, y: y[0] + 2.0
-    blow_lo.terminal = True
+def hm_center_by_shooting(s_right: float = 8.0) -> float:
+    """q(0) of the Hastings-McLeod solution by one backward IVP.
+
+    The solution decays like Ai, so it starts from q = Ai, q' = Ai' at
+    s_right (the cubic term is O(Ai^3), below 1e-21 at s = 8) and runs
+    DOP853 back to 0.  Backward, the Bi component of any error decays,
+    so the run is stable.
+    """
     sol = solve_ivp(
         lambda s, y: [y[1], s * y[0] + 2.0 * y[0] ** 3],
-        s_span,
-        [q0, q1],
+        (s_right, 0.0),
+        [airy(s_right), airy_d(s_right)],
         method="DOP853",
-        rtol=rtol,
-        atol=1e-16,
-        events=[blow_hi, blow_lo],
-        dense_output=False,
+        rtol=1e-12,
+        atol=1e-20,
     )
-    return sol
-
-
-def hm_center_by_shooting(s_right: float = 8.0, s_left: float = 8.0) -> float:
-    """q(0) of the Hastings-McLeod solution by nested shooting.
-
-    Outer bisection runs on a = q(0); for each a the slope b = q'(0) is
-    eliminated by a root solve on the decay condition at +s_right (the
-    Airy-Wronskian q Ai' - q' Ai vanishes exactly on solutions that decay
-    like Ai).  The outer residual compares q(-s_left) with the parabola
-    branch sqrt(s_left/2).
-    """
-
-    def right_indicator(a, b):
-        sol = _hm_ivp((0.0, s_right), a, b)
-        if sol.t_events[0].size:  # blew up high -> too much Bi
-            return 1.0
-        if sol.t_events[1].size:  # crossed low
-            return -1.0
-        q, qp = sol.y[0, -1], sol.y[1, -1]
-        w = q * airy_d(s_right) - qp * airy(s_right)
-        # a positive growing (Bi) component makes w negative
-        return 1.0 if w < 0.0 else -1.0
-
-    def slope_for(a):
-        lo, hi = -1.0, 0.0
-        f_lo = right_indicator(a, lo)
-        f_hi = right_indicator(a, hi)
-        if f_lo == f_hi:
-            raise ConvergenceError("shooting slope bracket failed")
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if right_indicator(a, mid) == f_lo:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15:
-                break
-        return 0.5 * (lo + hi)
-
-    def left_residual(a):
-        b = slope_for(a)
-        sol = _hm_ivp((0.0, -s_left), a, b)
-        if sol.t_events[0].size:
-            return 10.0
-        if sol.t_events[1].size:
-            return -10.0
-        return float(sol.y[0, -1]) - math.sqrt(s_left / 2.0)
-
-    a_lo, a_hi = 0.25, 0.5
-    r_lo = left_residual(a_lo)
-    r_hi = left_residual(a_hi)
-    if r_lo * r_hi > 0.0:
-        raise ConvergenceError("shooting bracket on q(0) failed")
-    for _ in range(45):
-        a_mid = 0.5 * (a_lo + a_hi)
-        r_mid = left_residual(a_mid)
-        if r_mid * r_lo > 0.0:
-            a_lo, r_lo = a_mid, r_mid
-        else:
-            a_hi, r_hi = a_mid, r_mid
-        if a_hi - a_lo < 1e-12:
-            break
-    return 0.5 * (a_lo + a_hi)
+    if not sol.success:
+        raise ConvergenceError(f"Hastings-McLeod IVP failed: {sol.message}")
+    return float(sol.y[0, -1])
 
 
 def pi2_center_by_shooting(

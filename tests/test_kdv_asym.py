@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvrmt import core, hopf, kdv_asym, painleve
-from kdvrmt.errors import DomainError, GenericityError
+from kdvrmt.errors import AccuracyError, DomainError, GenericityError
 
 from oracles import edge_grid_scan
 
@@ -43,6 +43,12 @@ class TestEdgeSystems:
         assert abs(kdv_asym.trailing_integral(trail.u, trail.v, 0.25, data)) < 1e-8
         assert trail.u < trail.v
 
+    def test_trailing_integral_unconverged_raises(self, data, monkeypatch):
+        # a kink in the integrand defeats the node doubling by 768 nodes
+        monkeypatch.setattr(kdv_asym, "theta_of", lambda lam, u, d: np.abs(lam - 0.3))
+        with pytest.raises(AccuracyError):
+            kdv_asym.trailing_integral(0.0, 1.0, 0.0, data)
+
     def test_leading_against_grid_scan_oracle(self, data, lead):
         u_ref, v_ref = edge_grid_scan(0.25, data, "leading")
         assert lead.u == pytest.approx(u_ref, abs=2e-4)
@@ -63,8 +69,9 @@ class TestEdgeSystems:
             assert edge.v == pytest.approx(cp.u_c, abs=1e-3)
 
     def test_cusp_ordering(self, data, cp):
-        # stay inside the trailing validity window (it closes near 0.266
-        # for this profile as u(t) approaches the branch endpoint -1)
+        # t <= t_c + 0.05 ~ 0.267, well inside the trailing window (the
+        # continuation solves up to ~0.2989; the branch itself ends at
+        # t* ~ 0.3023, where u reaches the profile minimum -1)
         for dt in (0.01, 0.03, 0.05):
             t = cp.t_c + dt
             lead = kdv_asym.solve_leading_edge(t, data)
@@ -90,8 +97,9 @@ class TestPhaseDiagram:
             assert r["x_minus"] == pytest.approx(lead.x_edge, abs=1e-8)
 
     def test_window_end_marked_not_fatal(self, data, cp):
-        # the trailing system loses solvability once its branch value
-        # reaches the profile minimum; the sweep must mark, not abort
+        # at 0.30 a trailing solution exists (u ~ -0.99995; the branch ends
+        # at t* ~ 0.3023), but near u = -1 the theta quadrature's node cap
+        # rejects Newton's trial points; the sweep must mark, not abort
         rows = kdv_asym.kdv_phase_diagram(data, [0.25, 0.30])
         assert rows[1]["error"] != ""
         assert math.isnan(rows[1]["x_plus"])

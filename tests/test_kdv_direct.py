@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from kdvrmt import hopf, kdv_direct
 from kdvrmt.errors import DomainError, ResolutionError
@@ -58,6 +59,45 @@ class TestSolveKdV:
         a = kdv_direct.solve_kdv(data, eps=0.1, t_final=0.1, rtol=1e-8)
         b = kdv_direct.solve_kdv(data, eps=0.1, t_final=0.1, rtol=1e-11)
         assert np.max(np.abs(a.u - b.u)) < 1e-6
+
+    def test_fixed_ladder_order_four(self, data):
+        # plain ETDRK4 at h = T/8 ... T/64 against T/1024: error ratios ~16
+        n, big_p, eps, t_final = 1024, 15.0, 0.1, 0.1
+        dx = 2.0 * big_p / n
+        k = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
+        dealias = (k <= (2.0 / 3.0) * k[-1]).astype(float)
+        u0 = data.u0(-big_p + dx * np.arange(n))
+
+        def nonlinear(v):
+            w = sfft.irfft(v * dealias, n)
+            return -3j * k * dealias * sfft.rfft(w * w)
+
+        def run(steps):
+            h = np.array([[t_final / steps]])
+            c = kdv_direct._etd_coefficients(h, 1j * eps**2 * k**3)[:, 0]
+            v = sfft.rfft(u0)
+            for _ in range(steps):
+                v = kdv_direct._etdrk4(v, nonlinear(v), c, nonlinear)
+            return sfft.irfft(v, n)
+
+        ref = run(1024)
+        errs = [float(np.max(np.abs(run(s) - ref))) for s in (8, 16, 32, 64)]
+        ratios = [errs[i] / errs[i + 1] for i in range(3)]
+        assert all(14.0 < r < 18.0 for r in ratios), ratios
+
+    def test_error_estimate_bounds_true_error(self, data):
+        ref = kdv_direct.solve_kdv(data, eps=0.1, t_final=0.4)
+        loose = kdv_direct.solve_kdv(data, eps=0.1, t_final=0.4, rtol=1e-9)
+        err = float(np.max(np.abs(loose.u - ref.u)))
+        assert 1e-11 < err <= loose.err_est
+        assert ref.err_est < loose.err_est
+
+    def test_mass_exact_and_rerun_bitwise(self, data):
+        a = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1)
+        b = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1)
+        assert a.mass_drift == 0.0
+        assert np.array_equal(a.u, b.u)
+        assert (a.n_steps, a.err_est) == (b.n_steps, b.err_est)
 
     def test_resolution_guard(self, data):
         with pytest.raises(ResolutionError):

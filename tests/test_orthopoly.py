@@ -80,6 +80,12 @@ class TestComputeRecurrence:
         with pytest.raises(PrecisionError):
             orthopoly.compute_recurrence([0.0, 0.0, 0.5], 10, 40, nodes_per_panel=2)
 
+    def test_unresolved_weight_raises(self):
+        # 60 nodes keep 41 vectors orthogonal, yet their gamma_40 is 1.1e-4
+        # (true value 2.0): the rule does not resolve the weight
+        with pytest.raises(PrecisionError):
+            orthopoly.compute_recurrence([0.0, 0.0, 0.5], 10, 40, nodes_per_panel=3)
+
     def test_rejects_odd_degree(self):
         with pytest.raises(DomainError):
             orthopoly.compute_recurrence([0.0, 1.0, 0.0, 0.3], 10, 5)
