@@ -79,9 +79,6 @@ class NewtonResult:
     iterations: int
     residual_norm: float
 
-    def scalar(self) -> float:
-        return float(np.atleast_1d(self.x)[0])
-
 
 def airy(s: float) -> float:
     """Airy function Ai(s) for finite real s.

@@ -11,10 +11,15 @@ Two objects are produced here:
 * ``solve_hastings_mcleod`` - the positive solution of q'' = s q + 2 q^3
   with parabola growth on the left and Airy decay on the right.
 
-Both use the same collocation core.  Independent shooting solvers
-(``pi2_center_by_shooting``, ``hm_center_by_shooting``) provide dual-route
-values for the cross-checks; they never share state with the collocation
-path.
+Both use the same collocation core, which takes Dirichlet data on some
+components at each end.  Its Newton rows run left conditions, interval
+blocks, right conditions, so with m components and p left conditions the
+Jacobian is banded (l = m - 1 + p, u = 2m - 1 - p: 5/5 for the profile,
+2/2 for Hastings-McLeod) and is solved by ``scipy.linalg.solve_banded``.
+
+Independent shooting solvers (``pi2_center_by_shooting``,
+``hm_center_by_shooting``) provide dual-route values for the cross-checks;
+they never share state with the collocation path.
 """
 from __future__ import annotations
 
@@ -23,9 +28,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy import special as sspecial
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_banded
 
 from .core import airy, airy_d
 from .errors import AccuracyError, BranchError, ConvergenceError, DomainError
@@ -53,23 +58,34 @@ _SIXTH23 = 6.0 ** (2.0 / 3.0)
 # shared MIRK4 collocation core
 # ----------------------------------------------------------------------
 
-def _mirk4_newton(f, dfdy, bc, bc_jac, x, y0, tol=1e-11, max_iter=40):
+def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11, max_iter=40):
     """Damped Newton on the 3-stage Lobatto-IIIA collocation equations.
 
-    ``x``: mesh (M+1,), ``y0``: initial iterate (M+1, m).  Returns the
-    converged grid values.  The scheme per interval is
+    ``x``: mesh (M+1,), ``y0``: initial iterate (M+1, m).  ``left`` and
+    ``right`` are (components, values) pairs of Dirichlet data at x[0]
+    and x[-1], m conditions together.  Returns the converged grid values.
+    The scheme per interval is
 
         y_{i+1} - y_i = h/6 (f_i + 4 f(x_mid, y_mid) + f_{i+1}),
         y_mid = (y_i + y_{i+1})/2 + h/8 (f_i - f_{i+1}),
 
     i.e. collocation at both ends and the midpoint; fourth order, and the
     natural cubic Hermite interpolant collocates exactly at those points.
+
+    The Newton rows are ordered left conditions, interval blocks, right
+    conditions (the almost-block-diagonal order).  With p left conditions
+    the Jacobian is then banded with l = m - 1 + p sub- and u = 2m - 1 - p
+    superdiagonals, and each step is one ``solve_banded``.
     """
     y = np.array(y0, dtype=float)
     n_nodes, m = y.shape
     big_m = n_nodes - 1
     h = np.diff(x)[:, None]
     eye = np.eye(m)
+    comp_l, val_l = (np.asarray(a) for a in left)
+    comp_r, val_r = (np.asarray(a) for a in right)
+    p = comp_l.size
+    n_lo, n_up = m - 1 + p, 2 * m - 1 - p
 
     def residual(yv):
         fv = f(x, yv)
@@ -78,17 +94,23 @@ def _mirk4_newton(f, dfdy, bc, bc_jac, x, y0, tol=1e-11, max_iter=40):
         x_mid = 0.5 * (x[:-1] + x[1:])
         f_mid = f(x_mid, y_mid)
         res_i = yv[1:] - yv[:-1] - (h / 6.0) * (f_lo + 4.0 * f_mid + f_hi)
-        return np.concatenate([res_i.ravel(), bc(yv[0], yv[-1])]), (f_lo, f_hi, f_mid, y_mid, x_mid)
+        res = np.concatenate([yv[0, comp_l] - val_l, res_i.ravel(), yv[-1, comp_r] - val_r])
+        return res, (f_lo, f_hi, f_mid, y_mid, x_mid)
 
-    # sparsity pattern: interval blocks (m x 2m) + boundary rows
+    # band storage ab[n_up + row - col, col]: the interval blocks (m x 2m)
+    # follow the p left rows; each boundary row holds a constant 1
     shape3 = (big_m, m, m)
-    rows_i = np.broadcast_to(
+    rows_i = p + np.broadcast_to(
         np.arange(big_m)[:, None, None] * m + np.arange(m)[None, :, None], shape3
     ).ravel()
     cols_lo = np.broadcast_to(
         np.arange(big_m)[:, None, None] * m + np.arange(m)[None, None, :], shape3
     ).ravel()
-    cols_hi = cols_lo + m
+    band_lo = (n_up + rows_i - cols_lo, cols_lo)
+    band_hi = (band_lo[0] - m, cols_lo + m)
+    ab = np.zeros((n_lo + n_up + 1, n_nodes * m))
+    ab[n_up + np.arange(p) - comp_l, comp_l] = 1.0
+    ab[n_up + p + np.arange(comp_r.size) - comp_r, big_m * m + comp_r] = 1.0
 
     res, parts = residual(y)
     norm = np.max(np.abs(res))
@@ -104,19 +126,12 @@ def _mirk4_newton(f, dfdy, bc, bc_jac, x, y0, tol=1e-11, max_iter=40):
         dmid_hi = 0.5 * eye - (h3 / 8.0) * df_hi
         block_lo = -eye - (h3 / 6.0) * (df_lo + 4.0 * np.einsum("nij,njk->nik", df_mid, dmid_lo))
         block_hi = eye - (h3 / 6.0) * (df_hi + 4.0 * np.einsum("nij,njk->nik", df_mid, dmid_hi))
-
-        bl, br = bc_jac(y[0], y[-1])
-        data = np.concatenate([block_lo.ravel(), block_hi.ravel(), bl.ravel(), br.ravel()])
-        row_bc = big_m * m + np.repeat(np.arange(m), m)
-        col_bc_l = np.tile(np.arange(m), m)
-        col_bc_r = col_bc_l + big_m * m
-        rows = np.concatenate([rows_i, rows_i, row_bc, row_bc])
-        cols = np.concatenate([cols_lo, cols_hi, col_bc_l, col_bc_r])
-        jac = sp.csc_matrix((data, (rows, cols)), shape=(n_nodes * m, n_nodes * m))
+        ab[band_lo] = block_lo.ravel()
+        ab[band_hi] = block_hi.ravel()
         try:
-            step = spla.splu(jac).solve(res)
-        except RuntimeError as exc:
-            raise ConvergenceError("collocation Jacobian factorization failed") from exc
+            step = solve_banded((n_lo, n_up), ab, res, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("collocation Jacobian is singular") from exc
         step = step.reshape(n_nodes, m)
 
         lam = 1.0
@@ -173,6 +188,27 @@ def _hermite_eval(x_grid, y, dy, x_eval):
     h01 = -2 * th**3 + 3 * th**2
     h11 = th**3 - th**2
     return h00 * y[idx] + h01 * y[idx + 1] + h * (h10 * dy[idx] + h11 * dy[idx + 1])
+
+
+def _eval_grid(x_grid, y, dy, x, tail):
+    """Hermite interpolant on the symmetric grid, ``tail(x)`` beyond it.
+
+    Returns the values (a float for a scalar ``x``) and whether any point
+    fell outside the grid.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    scalar = x_arr.ndim == 0
+    x_arr = np.atleast_1d(x_arr)
+    inside = np.abs(x_arr) <= x_grid[-1]
+    flag = not inside.all()
+    out = np.empty_like(x_arr)
+    if inside.any():
+        out[inside] = _hermite_eval(x_grid, y, dy, x_arr[inside])
+    if flag:
+        out[~inside] = tail(x_arr[~inside])
+    if scalar:
+        return float(out[0]), flag
+    return out, flag
 
 
 # ----------------------------------------------------------------------
@@ -246,45 +282,22 @@ class PI2Solution:
 
 def _solve_pi2_mesh(t_param, x, y_init, tol=1e-11):
     rhs, jac = _pi2_system(t_param)
-    big_l = float(x[-1])
-    ends = np.array([-big_l, big_l])
+    ends = np.array([x[0], x[-1]])
     u_l, u_r = pi2_asymptote(ends, t_param)
     d_l, d_r = pi2_asymptote(ends, t_param, 1)
-
-    def bc(ya, yb):
-        return np.array([ya[0] - u_l, ya[1] - d_l, yb[0] - u_r, yb[1] - d_r])
-
-    def bc_jac(ya, yb):
-        bl = np.zeros((4, 4))
-        br = np.zeros((4, 4))
-        bl[0, 0] = 1.0
-        bl[1, 1] = 1.0
-        br[2, 0] = 1.0
-        br[3, 1] = 1.0
-        return bl, br
-
-    return _mirk4_newton(rhs, jac, bc, bc_jac, x, y_init, tol=tol)
+    return _mirk4_newton(
+        rhs, jac, ([0, 1], [u_l, d_l]), ([0, 1], [u_r, d_r]), x, y_init, tol=tol
+    )
 
 
-def _pi2_initial_guess(t_param, x):
-    # real branch of the dispersionless cubic T u - u^3/6 = X, which the
-    # solution tracks for T <= 0; for T > 0 continuation handles the rest
-    u = np.array([_cubic_branch(t_param, xi) for xi in x])
+def _pi2_initial_guess(x):
+    # the root -(6X)^(1/3) of the dispersionless cubic T u - u^3/6 = X at
+    # T = 0; continuation in T handles the rest
+    u = -np.cbrt(6.0 * x)
     u1 = np.gradient(u, x)
     u2 = np.gradient(u1, x)
     u3 = np.gradient(u2, x)
     return np.stack([u, u1, u2, u3], axis=1)
-
-
-def _cubic_branch(t_param, xv):
-    # monotone real root of u^3/6 - T u + X = 0 matching -(6X)^(1/3) far out
-    coeffs = [1.0 / 6.0, 0.0, -t_param, xv]
-    roots = np.roots(coeffs)
-    real = roots[np.abs(roots.imag) < 1e-9].real
-    if real.size == 0:
-        return -np.cbrt(6.0 * xv)
-    target = -np.cbrt(6.0 * xv)
-    return float(real[np.argmin(np.abs(real - target))])
 
 
 def _default_n_points(t_param: float, big_l: float) -> int:
@@ -337,7 +350,7 @@ def solve_pi2(
         )
 
     x_coarse = np.linspace(-big_l, big_l, 1601)
-    y = _pi2_initial_guess(0.0, x_coarse)
+    y = _pi2_initial_guess(x_coarse)
     try:
         y = _solve_pi2_mesh(0.0, x_coarse, y, tol=1e-10)
         n_steps = int(math.ceil(abs(t_param) / 0.25))
@@ -385,32 +398,22 @@ def eval_pi2(sol: PI2Solution, x) -> float | np.ndarray:
 
 def eval_pi2_ext(sol: PI2Solution, x):
     """Like :func:`eval_pi2` but also returns the extrapolation flag."""
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    inside = np.abs(x_arr) <= sol.L
-    out = np.empty_like(x_arr)
-    if np.any(inside):
-        out[inside] = _hermite_eval(sol.x_grid, sol.u, sol.u1, x_arr[inside])
-    if np.any(~inside):
-        out[~inside] = pi2_asymptote(x_arr[~inside], sol.T)
-    flag = bool(np.any(~inside))
-    if scalar:
-        return float(out[0]), flag
-    return out, flag
-
-
-_PI2_CACHE: dict = {}
+    return _eval_grid(sol.x_grid, sol.u, sol.u1, x, lambda xo: pi2_asymptote(xo, sol.T))
 
 
 def pi2_solution_cached(t_param: float, big_l: float = 50.0, n_points: int | None = None) -> PI2Solution:
-    """Memoized ``solve_pi2`` keyed on the exact argument triple."""
+    """Memoized ``solve_pi2`` keyed on the exact argument triple.
+
+    The 16 most recently used solutions are kept.
+    """
     if n_points is None:
         n_points = _default_n_points(t_param, big_l)
-    key = (float(t_param), float(big_l), int(n_points))
-    if key not in _PI2_CACHE:
-        _PI2_CACHE[key] = solve_pi2(*key)
-    return _PI2_CACHE[key]
+    return _pi2_cached(float(t_param), float(big_l), int(n_points))
+
+
+@lru_cache(maxsize=16)
+def _pi2_cached(t_param: float, big_l: float, n_points: int) -> PI2Solution:
+    return solve_pi2(t_param, big_l, n_points)
 
 
 # ----------------------------------------------------------------------
@@ -468,20 +471,9 @@ def solve_hastings_mcleod(big_s: float = 10.0, n_points: int = 4001) -> HMGrid:
     q0p = (s / hyp - 1.0) / (8.0 * q0)
     y0 = np.stack([q0, q0p], axis=1)
 
-    q_left = math.sqrt(big_s / 2.0)
-    q_right = airy(big_s)
-
-    def bc(ya, yb):
-        return np.array([ya[0] - q_left, yb[0] - q_right])
-
-    def bc_jac(ya, yb):
-        bl = np.zeros((2, 2))
-        br = np.zeros((2, 2))
-        bl[0, 0] = 1.0
-        br[1, 0] = 1.0
-        return bl, br
-
-    y = _mirk4_newton(_hm_rhs, _hm_jac, bc, bc_jac, s, y0, tol=1e-12)
+    left = ([0], [math.sqrt(big_s / 2.0)])
+    right = ([0], [airy(big_s)])
+    y = _mirk4_newton(_hm_rhs, _hm_jac, left, right, s, y0, tol=1e-12)
     if np.min(y[:, 0]) <= 0.0:
         raise BranchError("solver left the positive Hastings-McLeod branch")
     resid = _replay_residual(s, y[:, 1], s * y[:, 0] + 2.0 * y[:, 0] ** 3)
@@ -497,23 +489,12 @@ def eval_hm(grid: HMGrid, s) -> float | np.ndarray:
 
 def eval_hm_ext(grid: HMGrid, s):
     """Interpolated q(s); beyond the grid the defining tails take over."""
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    out = np.empty_like(s_arr)
-    inside = np.abs(s_arr) <= grid.S
-    if np.any(inside):
-        out[inside] = _hermite_eval(grid.s_grid, grid.q_values, grid.q_prime, s_arr[inside])
-    high = s_arr > grid.S
-    low = s_arr < -grid.S
-    if np.any(high):
-        out[high] = np.array([airy(v) for v in s_arr[high]])
-    if np.any(low):
-        out[low] = np.sqrt(-s_arr[low] / 2.0)
-    flag = bool(np.any(~inside))
-    if scalar:
-        return float(out[0]), flag
-    return out, flag
+    return _eval_grid(grid.s_grid, grid.q_values, grid.q_prime, s, _hm_tail)
+
+
+def _hm_tail(s: np.ndarray) -> np.ndarray:
+    # Ai(s) on the right, sqrt(-s/2) on the left
+    return np.where(s > 0.0, sspecial.airy(s)[0], np.sqrt(np.abs(s) / 2.0))
 
 
 @lru_cache(maxsize=4)

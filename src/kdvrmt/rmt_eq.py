@@ -95,7 +95,6 @@ class EquilibriumMeasure:
         a, b = self.support
         s = np.asarray(s, dtype=float)
         inside = (s >= a) & (s <= b)
-        out = np.zeros_like(s, dtype=float)
         rad = np.where(inside, (s - a) * (b - s), 0.0)
         out = np.where(inside, np.sqrt(rad) * self.h(s) / (2.0 * math.pi), 0.0)
         return out if out.ndim else float(out)

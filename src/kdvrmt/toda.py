@@ -154,11 +154,9 @@ def string_residual(state: TodaState, v_coeffs) -> tuple[np.ndarray, np.ndarray,
     vp = np.polynomial.polynomial.polyder(v_coeffs)
     q = jacobi_matrix(state)
     m = q.shape[0]
-    vpq = np.zeros_like(q)
-    acc = np.eye(m) * vp[-1]
+    vpq = np.eye(m) * vp[-1]
     for c in vp[-2::-1]:
-        acc = acc @ q + np.eye(m) * c
-    vpq = acc
+        vpq = vpq @ q + np.eye(m) * c
     sub = np.diag(vpq, -1)
     n_idx = np.arange(1, m)
     res1 = state.gamma * sub - n_idx * state.eps

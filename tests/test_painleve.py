@@ -5,7 +5,7 @@ import pytest
 
 from kdvrmt import painleve
 from kdvrmt.core import airy
-from kdvrmt.errors import DomainError
+from kdvrmt.errors import AccuracyError, ConvergenceError, DomainError
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,20 @@ def fd_replay_pi2(sol):
         sol.T * sol.u - sol.u**3 / 6.0 - (sol.u1**2 + 2 * sol.u * sol.u2) / 24.0 - x
     )
     return np.max(np.abs(du3 - rhs[3:-3])) / 240.0
+
+
+def test_singular_collocation_jacobian_raises():
+    # y' = 0 with both conditions on the second component leaves the level
+    # of the first one free, so the Newton matrix is singular
+    def zero(x, y):
+        return np.zeros_like(np.atleast_2d(y))
+
+    def zero_jac(x, y):
+        return np.zeros((np.atleast_2d(y).shape[0], 2, 2))
+
+    x = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ConvergenceError, match="singular"):
+        painleve._mirk4_newton(zero, zero_jac, ([1], [1.0]), ([1], [0.0]), x, np.zeros((11, 2)))
 
 
 class TestHastingsMcLeod:
@@ -149,6 +163,28 @@ class TestPI2:
     def test_small_l_rejected_for_large_t(self):
         with pytest.raises(DomainError):
             painleve.solve_pi2(5.0, 10.0, 2001)
+
+    def test_coarse_mesh_over_residual_cap(self):
+        # 2001 nodes on [-50, 50] leave a replay residual near 5e-5
+        with pytest.raises(AccuracyError, match="replay residual"):
+            painleve.solve_pi2(0.0, 50.0, 2001)
+
+    def test_cache_is_bounded(self, monkeypatch):
+        calls = []
+
+        def fake_solve(t_param, big_l, n_points):
+            calls.append(t_param)
+            return t_param
+
+        monkeypatch.setattr(painleve, "solve_pi2", fake_solve)
+        keys = [100.0 + i for i in range(17)]
+        for t_param in keys:
+            assert painleve.pi2_solution_cached(t_param, 50.0, 1001) == t_param
+        assert painleve.pi2_solution_cached(keys[-1], 50.0, 1001) == keys[-1]
+        assert len(calls) == 17
+        # the least recently used entry was evicted and is solved again
+        painleve.pi2_solution_cached(keys[0], 50.0, 1001)
+        assert len(calls) == 18
 
     def test_derivative_consistency(self, pi2_t0):
         # stored first derivative matches a finite difference of u
