@@ -2,8 +2,10 @@
 
 Computes recurrence tables by float64 Lanczos, compares the
 diagonal sequence against the one-cut limit and the edge-critical
-formula, flows Gaussian data under the first hierarchy time, and locates
-a hodograph gradient catastrophe with its scaling constants.
+formula, flows Gaussian data under the first hierarchy time (a spectral
+map: the weights of Q are deformed by e^{-t lambda / eps} and Lanczos
+rebuilds Q), and locates a hodograph gradient catastrophe with its
+scaling constants.
 """
 import math
 

@@ -66,9 +66,5 @@ class NotOneCutError(KdvrmtError, ValueError):
     """An external field is not one-cut where a one-cut ansatz was used."""
 
 
-class StepSizeError(KdvrmtError, RuntimeError):
-    """An explicit flow step violated its conservation/stability budget."""
-
-
 class CatastropheError(KdvrmtError, RuntimeError):
     """A hodograph/characteristic solve hit a gradient catastrophe."""

@@ -364,8 +364,12 @@ def compare_asymptotics(
         raise DomainError("which must be regular | interior | edge")
     rows = []
     if which == "regular":
-        a, b = rmt_eq.solve_onecut_endpoints(f)
-        g_lim, b_lim = asym_onecut(a, b)
+        # without a one-cut solution every row keeps its numeric values
+        # and names the endpoint error
+        try:
+            limits = asym_onecut(*rmt_eq.solve_onecut_endpoints(f))
+        except KdvrmtError as exc:
+            limits = exc
     if which == "interior" and crit is None:
         crit = interior_critical_data_t9()
     kw = pi2_kwargs or {}
@@ -379,7 +383,9 @@ def compare_asymptotics(
             g_num = row["gamma_num"] = float(table.gamma[n - 1])
             b_num = row["beta_num"] = float(table.beta[n - 1])
             if which == "regular":
-                g_asym, b_asym = g_lim, b_lim
+                if isinstance(limits, KdvrmtError):
+                    raise limits
+                g_asym, b_asym = limits
             elif which == "interior":
                 g_asym, b_asym = asym_interior(f.x, n, crit)
             else:

@@ -288,15 +288,32 @@ def _cheb_nodes():
     return np.cos((2.0 * i - 1.0) * math.pi / (2.0 * _CHEB_N))
 
 
-def _endpoint_conditions(f: QuarticField, c: float, w: float) -> np.ndarray:
+def _endpoint_conditions(f: QuarticField, c, w) -> np.ndarray:
     """Moment conditions pinning a one-cut support [c-w, c+w].
 
     mean over the arcsine measure of V' must vanish, and of s V' must
     equal 2; both means are exact Chebyshev-Gauss sums for polynomial V.
+    ``c`` and ``w`` may be arrays of one shape; the two conditions stack
+    on a new leading axis.
     """
-    nodes = c + w * _cheb_nodes()
+    nodes = np.asarray(c)[..., None] + np.asarray(w)[..., None] * _cheb_nodes()
     _, vp, _ = field_eval(f, nodes)
-    return np.array([float(np.mean(vp)), float(np.mean(nodes * vp)) - 2.0])
+    return np.array([np.mean(vp, axis=-1), np.mean(nodes * vp, axis=-1) - 2.0])
+
+
+def _scan_starts(f: QuarticField) -> list:
+    """The 8 best (center, log half-width) Newton starts of a 65 x 65 grid.
+
+    The conditions can have several basins (notably for near-symmetric
+    two-well fields), so the grid is ranked by |r_0| + |r_1| and the best
+    few are tried; the stable sort keeps grid order among equal scores.
+    """
+    c, lw = np.meshgrid(
+        np.linspace(-4.0, 4.0, 65), np.linspace(math.log(0.05), math.log(8.0), 65), indexing="ij"
+    )
+    r = _endpoint_conditions(f, c, np.exp(lw))
+    best = np.argsort((np.abs(r[0]) + np.abs(r[1])).ravel(), kind="stable")[:8]
+    return list(zip(c.ravel()[best].tolist(), lw.ravel()[best].tolist()))
 
 
 def _build_h(f: QuarticField, a: float, b: float) -> np.ndarray:
@@ -321,9 +338,9 @@ def _build_h(f: QuarticField, a: float, b: float) -> np.ndarray:
 def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[float, float]:
     """Support endpoints (a, b) of the one-cut equilibrium measure.
 
-    Newton on (center, log half-width) with a coarse grid-scan seed; the
-    result is cross-checked by rebuilding the density and verifying unit
-    mass and nonnegativity.
+    Newton on (center, log half-width) from ``seed`` if given, then from
+    the best starts of a coarse grid scan; the result is cross-checked by
+    rebuilding the density and verifying unit mass and nonnegativity.
 
     Raises
     ------
@@ -349,23 +366,15 @@ def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[
             raise NotOneCutError("rebuilt density is negative inside the support")
         return a, b
 
-    if seed is not None:
-        a0, b0 = seed
-        candidates = [(0.5 * (a0 + b0), math.log(0.5 * (b0 - a0)))]
-    else:
-        # the conditions can have several basins (notably for near-symmetric
-        # two-well fields), so rank a scan grid and try the best few
-        scored = []
-        for c in np.linspace(-4.0, 4.0, 65):
-            for lw in np.linspace(math.log(0.05), math.log(8.0), 65):
-                r = _endpoint_conditions(f, c, math.exp(lw))
-                scored.append((abs(r[0]) + abs(r[1]), c, lw))
-        scored.sort(key=lambda row: row[0])
-        candidates = [(c, lw) for _, c, lw in scored[:8]]
+    def starts():
+        if seed is not None:
+            a0, b0 = seed
+            yield 0.5 * (a0 + b0), math.log(0.5 * (b0 - a0))
+        yield from _scan_starts(f)
 
     box = (np.array([-50.0, math.log(1e-3)]), np.array([50.0, math.log(50.0)]))
     last_error: Exception | None = None
-    for c0, lw0 in candidates:
+    for c0, lw0 in starts():
         try:
             res = newton_solve(
                 fun,

@@ -4,7 +4,7 @@ Every oracle here deliberately avoids the code path it checks: series
 summation instead of library calls, dense scans and golden-section search
 instead of Newton, adaptive quadrature with explicit substitutions
 instead of fixed Gauss rules, moment determinants instead of the
-Stieltjes loop.
+Stieltjes loop, time stepping instead of the spectral map.
 """
 from __future__ import annotations
 
@@ -234,3 +234,50 @@ def hankel_recurrence(coeffs, n_weight: int, n_top: int, dps: int = 80, radius: 
             c_n1 = -det_e(n + 1) / det_d(n + 1)
             betas.append(float(c_n - c_n1))
     return gammas, betas
+
+
+def onecut_scan_starts(f, n_keep: int = 8):
+    """The one-cut seed scan as a scalar loop over the 65 x 65 grid.
+
+    Scores each (center, log half-width) point by |r_0| + |r_1| of the
+    moment conditions and keeps the best ``n_keep`` in grid order among
+    equal scores (Python's sort is stable).
+    """
+    from kdvrmt import rmt_eq
+
+    scored = []
+    for c in np.linspace(-4.0, 4.0, 65):
+        for lw in np.linspace(math.log(0.05), math.log(8.0), 65):
+            r = rmt_eq._endpoint_conditions(f, c, math.exp(lw))
+            scored.append((abs(r[0]) + abs(r[1]), float(c), float(lw)))
+    scored.sort(key=lambda row: row[0])
+    return [(c, lw) for _, c, lw in scored[:n_keep]]
+
+
+def _hierarchy_rhs(gamma, beta, eps: float, k: int):
+    """Right-hand side of the truncated k-th hierarchy flow through Q^k."""
+    m = gamma.size
+    q = np.diag(beta) + np.diag(gamma, 1) + np.diag(gamma, -1)
+    qk = np.linalg.matrix_power(q, k)
+    diag = np.diag(qk)
+    sub = np.diag(qk, -1)
+    dgamma = gamma * (diag[:-1] - diag[1:]) / (2.0 * eps)
+    # beta_n: gamma_n [Q^k]_{n,n-1} - gamma_{n+1} [Q^k]_{n+1,n}; Dirichlet ends
+    left = np.zeros(m + 1)
+    left[1:] = gamma * sub
+    right = np.zeros(m + 1)
+    right[:-1] = gamma * sub
+    return dgamma, (left - right) / eps
+
+
+def toda_rk4(state, k: int, dt: float, steps: int):
+    """(gamma, beta) after ``steps`` classical RK4 steps of the k-th flow."""
+    gamma, beta, eps = state.gamma.copy(), state.beta.copy(), state.eps
+    for _ in range(steps):
+        k1g, k1b = _hierarchy_rhs(gamma, beta, eps, k)
+        k2g, k2b = _hierarchy_rhs(gamma + 0.5 * dt * k1g, beta + 0.5 * dt * k1b, eps, k)
+        k3g, k3b = _hierarchy_rhs(gamma + 0.5 * dt * k2g, beta + 0.5 * dt * k2b, eps, k)
+        k4g, k4b = _hierarchy_rhs(gamma + dt * k3g, beta + dt * k3b, eps, k)
+        gamma = gamma + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+        beta = beta + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    return gamma, beta

@@ -154,6 +154,23 @@ class TestOpTable:
         assert [f["n"] for f in doc["failures"]] == [80]
         assert "outside the solved domain" in doc["failures"][0]["error"]
 
+    def test_regular_without_onecut_marks_rows(self, tmp_path):
+        # x = x* + 1 on t = 9 has no one-cut solution: the numeric columns
+        # stay, the one-cut limit columns are NaN and every row names it
+        cfg = write_config(
+            tmp_path / "c.cfg", "which = regular\nx = -2.3040336332085074\nt = 9.0\nn_range = 4, 8\n"
+        )
+        assert cli.main(["op-table", "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = (tmp_path / "op_table.csv").read_text().strip().splitlines()
+        assert len(lines) == 3
+        for line in lines[1:]:
+            cols = line.split(",")
+            assert "nan" not in (cols[1], cols[4])
+            assert [cols[i] for i in (2, 3, 5, 6)] == ["nan"] * 4
+        doc = json.loads((tmp_path / "op_table.json").read_text())
+        assert [f["n"] for f in doc["failures"]] == [4, 8]
+        assert all("one-cut" in f["error"] for f in doc["failures"])
+
 
 class TestTodaRun:
     def test_zero_steps_echoes_input(self, tmp_path):

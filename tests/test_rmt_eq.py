@@ -6,7 +6,7 @@ import pytest
 from kdvrmt import rmt_eq
 from kdvrmt.errors import DomainError, NotOneCutError
 
-from oracles import log_potential_oracle
+from oracles import log_potential_oracle, onecut_scan_starts
 
 X_STAR = rmt_eq.X_STAR
 
@@ -151,6 +151,26 @@ class TestEndpoints:
         with pytest.raises(NotOneCutError):
             rmt_eq.solve_onecut_endpoints(rmt_eq.QuarticField(X_STAR + 1.0, 9.0))
 
+    @pytest.mark.parametrize(
+        "x,t",
+        [
+            (X_STAR - 1.0, 9.0),
+            (0.0, 1.0),
+            (0.0, 0.0),
+            (-1.02, 1.0),
+            (-0.98, 0.51),
+            (-1.0, 0.5),
+            (0.25, 1.0),
+            (0.0, 9.0),
+            (-2.0, 9.0),
+            (X_STAR + 1.0, 9.0),
+            (0.0, 8.95),  # near-symmetric two-well field
+        ],
+    )
+    def test_scan_starts_match_scalar_loop(self, x, t):
+        f = rmt_eq.QuarticField(x, t)
+        assert rmt_eq._scan_starts(f) == onecut_scan_starts(f)
+
     def test_rebuilt_measure_consistent(self):
         f = rmt_eq.QuarticField(X_STAR - 1.0, 9.0)
         mu = rmt_eq.make_onecut_measure(f)
@@ -191,6 +211,15 @@ class TestPhaseDiagram:
     def test_cell_0_1_is_edge_singular(self):
         rows = rmt_eq.rmt_phase_diagram([0.0], [1.0], classify_tol=1e-6)
         assert rows[0]["class"] == "edge_III"
+
+    def test_failed_seed_falls_back_to_scan(self):
+        # seeded from (0, 1), Newton at (0.25, 1) fails; the cell must
+        # then match a cold solve instead of coming back failed
+        row = rmt_eq.rmt_phase_diagram([0.0, 0.25], [1.0])[1]
+        f = rmt_eq.QuarticField(0.25, 1.0)
+        rep = rmt_eq.classify(rmt_eq.make_onecut_measure(f), f)
+        assert row["class"] == rep.kind == "none"
+        assert row["margin"] == pytest.approx(min(rep.margins.values()), abs=1e-10)
 
     def test_failures_do_not_abort(self):
         rows = rmt_eq.rmt_phase_diagram([X_STAR + 1.0, X_STAR - 1.0], [9.0])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kdvrmt import orthopoly, rmt_eq, toda
-from kdvrmt.errors import DomainError, GenericityError, StepSizeError
+from kdvrmt.errors import DomainError, GenericityError, PrecisionError
+
+from oracles import toda_rk4
 
 
 @pytest.fixture(scope="module")
@@ -57,17 +59,32 @@ class TestFlows:
         out = toda.flow_hierarchy(gauss20, 3, dt=0.01, steps=0)
         assert out is gauss20
 
-    def test_oversized_step_detected(self, gauss20):
-        with pytest.raises(StepSizeError):
-            toda.flow_t1(gauss20, dt=0.8, steps=4)
+    def test_map_matches_rk4_oracle(self, gauss20):
+        # T = 3.2 in four "steps" of 0.8: the map has no step to fail.  RK4
+        # at dt = 2.5e-3 is 3.8e-8 off it and closes in at fourth order
+        out = toda.flow_t1(gauss20, dt=0.8, steps=4)
+
+        def off(dt):
+            gamma, beta = toda_rk4(gauss20, 1, dt, round(3.2 / dt))
+            return max(np.max(np.abs(out.gamma - gamma)), np.max(np.abs(out.beta - beta)))
+
+        coarse, fine = off(2.5e-3), off(1.25e-3)
+        assert coarse < 1e-7
+        assert 12.0 < coarse / fine < 20.0
 
     def test_matches_direct_recurrence(self, gauss20):
         # Toda-flowed coefficients against the weight with the shifted field
         out = toda.flow_t1(gauss20, dt=0.005, steps=20)
         tab = orthopoly.compute_recurrence([0.0, 0.1, 0.5], 20, 30)
         sl = slice(2, 25)
-        assert np.max(np.abs(out.gamma[sl] - tab.gamma[sl])) < 1e-6
-        assert np.max(np.abs(out.beta[sl] - tab.beta[sl])) < 1e-6
+        assert np.max(np.abs(out.gamma[sl] - tab.gamma[sl])) < 1e-13
+        assert np.max(np.abs(out.beta[sl] - tab.beta[sl])) < 1e-13
+
+    def test_weights_beyond_float64_raise(self, gauss20):
+        # T lambda / eps runs over +-1560 on the spectrum at T = 30, so
+        # the deformed weights cannot all be float64 numbers
+        with pytest.raises(PrecisionError):
+            toda.flow_t1(gauss20, dt=30.0, steps=1)
 
 
 class TestStringEquation:
