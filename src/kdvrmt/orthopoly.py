@@ -288,12 +288,14 @@ def asym_interior(
 
 
 def asym_edge(
-    x: float, t: float, n: int, big_l: float = 50.0, n_points: int = 12001
+    x: float, t: float, n: int, big_l: float = 50.0, n_points: int | None = None
 ) -> tuple[float, float]:
     """Edge-critical expansion near (x, t) = (0, 1).
 
     gamma_n = 1 + U(c1 n^{6/7}(e^x - 1), c2 n^{4/7} e^x (t-1)) n^{-2/7} / (2c),
-    beta_n the same with 1/c and no constant term; c = 6^{2/7}.
+    beta_n the same with 1/c and no constant term; c = 6^{2/7}.  U is
+    solved on [-L, L] by ``painleve.solve_pi2`` on its defect-sized mesh,
+    or on ``n_points`` graded nodes when given.
     """
     x_arg = EDGE_C1 * n ** (6.0 / 7.0) * (math.exp(x) - 1.0)
     t_arg = EDGE_C2 * n ** (4.0 / 7.0) * math.exp(x) * (t - 1.0)

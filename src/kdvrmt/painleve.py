@@ -4,9 +4,10 @@ Two objects are produced here:
 
 * ``solve_pi2`` - the pole-free real solution U(X, T) of the fourth-order
   ODE  X = T U - [U^3/6 + (U_X^2 + 2 U U_XX)/24 + U_XXXX/240], solved as a
-  first-order system with fixed-mesh Lobatto-IIIA (MIRK4) collocation and
-  Dirichlet data taken from the two-term algebraic expansion
-  U ~ -+ (6|X|)^{1/3} -+ (1/3) 6^{2/3} T |X|^{-1/3} at the truncation ends.
+  first-order system with Lobatto-IIIA (MIRK4) collocation on a mesh that
+  equidistributes its defect, and Dirichlet data taken from the two-term
+  algebraic expansion U ~ -+ (6|X|)^{1/3} -+ (1/3) 6^{2/3} T |X|^{-1/3} at
+  the truncation ends.
 
 * ``solve_hastings_mcleod`` - the positive solution of q'' = s q + 2 q^3
   with parabola growth on the left and Airy decay on the right.
@@ -144,9 +145,11 @@ def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11, max_iter=40):
                 improved = True
                 break
             lam *= 0.5
+        if (not improved or norm_try > 0.5 * norm) and norm <= 100.0 * tol:
+            # a Newton step that fails to halve a residual this small has
+            # reached the rounding floor of the residual rows
+            return y_try if improved else y
         if not improved:
-            if norm <= 100.0 * tol:  # stalled at the rounding floor
-                return y
             raise ConvergenceError("collocation line search stalled", last_iterate=y)
         y, res, parts, norm = y_try, res_try, parts_try, norm_try
     if norm <= tol:
@@ -156,33 +159,45 @@ def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11, max_iter=40):
     )
 
 
-def _fd_derivative6(values: np.ndarray, h: float) -> np.ndarray:
-    """Interior first derivative by the 7-point sixth-order stencil."""
-    v = values
-    return (
-        -v[:-6] + 9.0 * v[1:-5] - 45.0 * v[2:-4] + 45.0 * v[4:-2] - 9.0 * v[5:-1] + v[6:]
-    ) / (60.0 * h)
+def _fd_weights7(x: np.ndarray):
+    """7-point first-derivative weights at the interior nodes x[3:-3].
+
+    Returns ``(idx, w)``, both (len(x) - 6, 7): the derivative of v at
+    x[i + 3] is ``(w * v[idx]).sum(axis=1)``.  The weights are those of
+    the interpolating sextic on the actual node spacing, so the stencil
+    is sixth order on any mesh and, on a uniform one, the classical
+    (-1, 9, -45, 0, 45, -9, 1) / (60 h).
+    """
+    idx = np.arange(3, x.size - 3)[:, None] + np.arange(-3, 4)
+    d = np.delete(x[idx] - x[3:-3, None], 3, axis=1)  # the six nonzero offsets
+    w = np.empty_like(d)
+    for k in range(6):
+        others = np.delete(d, k, axis=1)
+        w[:, k] = np.prod(others / (others - d[:, k : k + 1]), axis=1) / d[:, k]
+    return idx, np.insert(w, 3, -np.sum(1.0 / d, axis=1), axis=1)
 
 
 def _replay_residual(x: np.ndarray, comp: np.ndarray, target: np.ndarray) -> float:
     """Max defect of d(comp)/dx against its target on interior nodes.
 
-    The derivative is recomputed from the stored grid values with a
-    sixth-order stencil, independently of the collocation scheme, so the
-    number measures how well the returned solution actually satisfies
-    the closing equation of the first-order system.
+    The derivative is recomputed from the stored grid values with the
+    sixth-order 7-point stencil of the actual spacing, independently of
+    the collocation scheme, so the number measures how well the returned
+    solution actually satisfies the closing equation of the first-order
+    system.
     """
-    h = float(x[1] - x[0])
-    d = _fd_derivative6(comp, h)
+    idx, w = _fd_weights7(x)
+    d = np.sum(w * comp[idx], axis=1)
     return float(np.max(np.abs(d - target[3:-3])))
 
 
 def _hermite_eval(x_grid, y, dy, x_eval):
-    """Vectorized cubic Hermite evaluation of one solution component."""
+    """Vectorized cubic Hermite evaluation of grid values ``y`` (n,) or (n, m)."""
     x_eval = np.asarray(x_eval, dtype=float)
     idx = np.clip(np.searchsorted(x_grid, x_eval) - 1, 0, x_grid.size - 2)
     h = x_grid[idx + 1] - x_grid[idx]
     th = (x_eval - x_grid[idx]) / h
+    h, th = (a.reshape(a.shape + (1,) * (np.ndim(y) - 1)) for a in (h, th))
     h00 = 2 * th**3 - 3 * th**2 + 1
     h10 = th**3 - 2 * th**2 + th
     h01 = -2 * th**3 + 3 * th**2
@@ -259,10 +274,10 @@ def _pi2_system(t_param: float):
 class PI2Solution:
     """Pole-free solution of the fourth-order profile equation at fixed T.
 
-    Grid values of U and its first four derivatives, plus the off-node
-    residual of the defining equation (scaled back to the printed form,
-    i.e. divided by 240) and the mismatch against the two-term tail at
-    the truncation points.
+    Grid values of U and its first four derivatives, plus the replay
+    residual of the defining equation at the interior nodes (scaled back
+    to the printed form, i.e. divided by 240) and the mismatch against
+    the two-term tail at the truncation points.
     """
 
     T: float
@@ -300,13 +315,61 @@ def _pi2_initial_guess(x):
     return np.stack([u, u1, u2, u3], axis=1)
 
 
-def _default_n_points(t_param: float, big_l: float) -> int:
-    """Default uniform mesh size of ``solve_pi2``.
+# Defect target of the final PI2 mesh: its nodes are placed so that the
+# 7-point defect of every component of the first-order system (the closing
+# one divided by 240, the printed-equation scale of the replay residual)
+# sits near this value.  The replay then lands at 1-2x of it (2.7e-9 at
+# most for |T| <= 1 at L = 50, 4.2e-9 for T = 1 at L = 400), inside the
+# 1e-8 residual bound of the acceptance criteria.
+_DEFECT_TARGET = 2e-9
+_DEFECT_SCALE = np.array([1.0, 1.0, 1.0, 1.0 / 240.0])
+_MAX_NODES = 320_000
 
-    Steeper central profiles at larger |T| need denser uniform meshes to
-    keep the fourth-order node error at the 1e-8 level.
+
+def _coarse_spacing(x, big_l):
+    """Node spacing of the continuation mesh, and the widest fine spacing.
+
+    Spacing 0.05 at the center and 0.02 at the ends (the boundary layers
+    the two-term tail data leaves are about 0.1 wide), growing by 0.1 per
+    unit distance from either, at most 1.
     """
-    return int(big_l * (420.0 + 700.0 * abs(float(t_param)) ** 1.5)) + 1
+    ax = np.abs(x)
+    return np.minimum(np.minimum(0.05 + 0.1 * ax, 0.02 + 0.1 * (big_l - ax)), 1.0)
+
+
+def _equidistribute(x, rho, n_points=None):
+    """Nodes on [x[0], x[-1]] that split the integral of ``rho`` evenly.
+
+    ``rho`` is a density, constant on each interval of ``x``; without
+    ``n_points`` every new interval carries an integral of at most one.
+    """
+    cum = np.concatenate([[0.0], np.cumsum(rho * np.diff(x))])
+    if n_points is None:
+        n_points = int(math.ceil(cum[-1])) + 1
+    if n_points > _MAX_NODES:
+        raise DomainError("requested mesh beyond the desk-scale budget; reduce |T| or L")
+    nodes = np.interp(np.linspace(0.0, cum[-1], n_points), cum, x)
+    nodes[0], nodes[-1] = x[0], x[-1]
+    return nodes
+
+
+def _defect_mesh(x, y, fy, target, big_l, n_points=None):
+    """Mesh whose intervals equidistribute the defect of the solution (x, y).
+
+    The defect is the 7-point derivative of each component minus its
+    right-hand side ``fy``, scaled by ``_DEFECT_SCALE``; MIRK4 leaves it
+    O(h^4), so an interval carrying defect d is split into (d/target)^(1/4)
+    parts.  The spacing never exceeds ``_coarse_spacing``.
+    """
+    idx, w = _fd_weights7(x)
+    d = np.abs(np.einsum("ij,ijk->ik", w, y[idx]) - fy[3:-3]) * _DEFECT_SCALE
+    d = np.pad(np.max(d, axis=1), 3, mode="edge")
+    h = np.diff(x)
+    rho = np.maximum(
+        (np.maximum(d[:-1], d[1:]) / target) ** 0.25 / h,
+        1.0 / _coarse_spacing(x[:-1] + 0.5 * h, big_l),
+    )
+    return _equidistribute(x, rho, n_points)
 
 
 def solve_pi2(
@@ -317,28 +380,30 @@ def solve_pi2(
 ) -> PI2Solution:
     """Solve the fourth-order profile BVP on [-L, L] at parameter T.
 
-    Strategy: coarse-mesh continuation in T from 0 in steps of 0.25
-    (the nonlinear problem needs decent initial iterates), then
-    prolongation to the requested mesh and a final Newton polish.  The
-    default mesh (420 nodes per unit length) puts the off-node defect of
-    the quartic collocation scheme below 1e-8 on the printed-equation
-    scale.
+    Strategy: continuation in T from 0 in steps of 0.25 (the nonlinear
+    problem needs decent initial iterates) on a coarse graded mesh
+    (``_coarse_spacing``, a few hundred nodes), then two passes that each
+    build a mesh equidistributing the current solution's defect (first
+    against 16 times ``_DEFECT_TARGET``, then against it), prolong onto
+    it with cubic Hermite interpolation through y' = f(x, y) and polish
+    with Newton.  The final mesh is sized so that the replay residual
+    sits near ``_DEFECT_TARGET``; ``n_points`` instead fixes its node
+    count, with the same grading.
 
     Raises
     ------
     DomainError
         If L is too small for the two-term tail to be self-consistent
-        (correction above 5% of the leading term).
+        (correction above 5% of the leading term), or the mesh would
+        exceed the desk-scale node budget.
     ConvergenceError
         If Newton fails even under continuation.
+    AccuracyError
+        If the replay residual exceeds ``residual_cap``.
     """
     t_param = float(t_param)
-    if n_points is None:
-        n_points = _default_n_points(t_param, big_l)
-    if n_points > 320_000:
-        raise DomainError("requested mesh beyond the desk-scale budget; reduce |T| or L")
-    if n_points < 200:
-        raise DomainError("need n_points >= 200")
+    if n_points is not None and not 200 <= n_points <= _MAX_NODES:
+        raise DomainError(f"need 200 <= n_points <= {_MAX_NODES}")
     if big_l <= 1.0:
         raise DomainError("need L > 1")
     lead = (6.0 * big_l) ** (1.0 / 3.0)
@@ -349,41 +414,42 @@ def solve_pi2(
             f"exceeds 5% of leading term {lead:.3g}"
         )
 
-    x_coarse = np.linspace(-big_l, big_l, 1601)
-    y = _pi2_initial_guess(x_coarse)
+    s = np.linspace(-big_l, big_l, int(math.ceil(400.0 * big_l)) + 1)
+    x = _equidistribute(s, 1.0 / _coarse_spacing(0.5 * (s[:-1] + s[1:]), big_l))
+    y = _pi2_initial_guess(x)
     try:
-        y = _solve_pi2_mesh(0.0, x_coarse, y, tol=1e-10)
+        y = _solve_pi2_mesh(0.0, x, y, tol=1e-10)
         n_steps = int(math.ceil(abs(t_param) / 0.25))
         for j in range(1, n_steps + 1):
             t_j = t_param * j / n_steps
-            y = _solve_pi2_mesh(t_j, x_coarse, y, tol=1e-10)
+            y = _solve_pi2_mesh(t_j, x, y, tol=1e-10)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"continuation from T=0 failed on the way to T={t_param}; "
             "retry with a finer T path or larger L"
         ) from exc
 
-    x_fine = np.linspace(-big_l, big_l, int(n_points))
-    y_fine = np.stack(
-        [np.interp(x_fine, x_coarse, y[:, j]) for j in range(4)], axis=1
-    )
-    y_fine = _solve_pi2_mesh(t_param, x_fine, y_fine, tol=1e-11)
-
     rhs, _ = _pi2_system(t_param)
-    u4 = rhs(x_fine, y_fine)[:, 3]
-    resid = _replay_residual(x_fine, y_fine[:, 3], u4) / 240.0
+    for target in (16.0 * _DEFECT_TARGET, _DEFECT_TARGET):
+        fy = rhs(x, y)
+        x_new = _defect_mesh(x, y, fy, target, big_l, n_points)
+        y = _solve_pi2_mesh(t_param, x_new, _hermite_eval(x, y, fy, x_new), tol=1e-11)
+        x = x_new
+
+    u4 = rhs(x, y)[:, 3]
+    resid = _replay_residual(x, y[:, 3], u4) / 240.0
     if resid > residual_cap:
         raise AccuracyError(f"PI2 replay residual {resid:.2e} above tolerance")
     tail = pi2_asymptote(np.array([-big_l, big_l]), t_param)
-    mismatch = float(max(abs(y_fine[0, 0] - tail[0]), abs(y_fine[-1, 0] - tail[1])))
+    mismatch = float(max(abs(y[0, 0] - tail[0]), abs(y[-1, 0] - tail[1])))
     return PI2Solution(
         T=t_param,
         L=big_l,
-        x_grid=x_fine,
-        u=y_fine[:, 0],
-        u1=y_fine[:, 1],
-        u2=y_fine[:, 2],
-        u3=y_fine[:, 3],
+        x_grid=x,
+        u=y[:, 0],
+        u1=y[:, 1],
+        u2=y[:, 2],
+        u3=y[:, 3],
         u4=u4,
         residual_norm=resid,
         boundary_mismatch=mismatch,
@@ -406,13 +472,11 @@ def pi2_solution_cached(t_param: float, big_l: float = 50.0, n_points: int | Non
 
     The 16 most recently used solutions are kept.
     """
-    if n_points is None:
-        n_points = _default_n_points(t_param, big_l)
-    return _pi2_cached(float(t_param), float(big_l), int(n_points))
+    return _pi2_cached(float(t_param), float(big_l), None if n_points is None else int(n_points))
 
 
 @lru_cache(maxsize=16)
-def _pi2_cached(t_param: float, big_l: float, n_points: int) -> PI2Solution:
+def _pi2_cached(t_param: float, big_l: float, n_points: int | None) -> PI2Solution:
     return solve_pi2(t_param, big_l, n_points)
 
 
@@ -535,16 +599,17 @@ def pi2_center_by_shooting(
     Both-end single shooting cannot cross the exponential dichotomy of
     the linearized equation on a domain long enough for the tail data to
     be accurate, so the domain is split into short segments with the full
-    state at each interface as unknowns; damped Newton (with per-segment
-    finite-difference transition blocks) enforces segment continuity plus
-    the two-term tail values of (U, U') at both ends.
+    state at each interface as unknowns; damped Newton enforces segment
+    continuity plus the two-term tail values of (U, U') at both ends.
 
     Left-end data errors decay inward only at the slow oscillatory rate,
     so after converging on a short symmetric domain the left end is walked
     out to ``x_left`` one segment at a time, each new interface state
-    seeded by backward integration of the converged solution.  Completely
-    independent of the collocation path: IVP integrations plus small dense
-    Newton solves.
+    seeded by backward integration of the converged solution.  Each
+    segment's IVP carries the 4 x 4 fundamental matrix of the linearized
+    equation (20 ODEs), which gives that segment's transition block of
+    the Newton Jacobian.  Completely independent of the collocation path:
+    IVP integrations plus small dense Newton solves.
     """
     t_param = 0.0
 
@@ -552,16 +617,28 @@ def pi2_center_by_shooting(
         u, u1, u2, u3 = y
         return [u1, u2, u3, 240.0 * (t_param * u - u**3 / 6.0 - (u1**2 + 2 * u * u2) / 24.0 - x)]
 
+    def variational(x, z):
+        # state and fundamental matrix (row-major in z[4:]): Phi' = J Phi,
+        # where J shifts the rows up and closes with the linearized
+        # fourth-derivative row
+        u, u1, u2, u3, *phi = z.tolist()
+        a0 = 240.0 * t_param - 120.0 * u * u - 20.0 * u2
+        closing = [a0 * phi[k] - 20.0 * (u1 * phi[4 + k] + u * phi[8 + k]) for k in range(4)]
+        return rhs(x, (u, u1, u2, u3)) + phi[4:] + closing
+
     blow = lambda x, y: abs(y[0]) - 50.0
     blow.terminal = True
 
     def propagate(x0, x1, state):
+        """End state of one segment and its transition block."""
+        z0 = np.concatenate([state, np.eye(4).ravel()])
         sol = solve_ivp(
-            rhs, (x0, x1), state, method="DOP853", rtol=1e-12, atol=1e-13, events=[blow]
+            variational, (x0, x1), z0, method="DOP853", rtol=1e-12, atol=1e-13, events=[blow]
         )
+        phi = sol.y[4:, -1].reshape(4, 4)
         if (x1 > x0 and sol.t[-1] < x1) or (x1 < x0 and sol.t[-1] > x1):
-            return np.full(4, 1e6 * (abs(x1 - sol.t[-1]) + 1.0))
-        return sol.y[:, -1]
+            return np.full(4, 1e6 * (abs(x1 - sol.t[-1]) + 1.0)), phi
+        return sol.y[:4, -1], phi
 
     def newton(nodes, states, tol):
         n_seg = len(nodes) - 1
@@ -575,12 +652,15 @@ def pi2_center_by_shooting(
 
         def residual(st):
             res = [st[0, :2] - bc_l]
+            blocks = []
             for i in range(n_seg):
-                res.append(propagate(nodes[i], nodes[i + 1], st[i]) - st[i + 1])
+                end_state, phi = propagate(nodes[i], nodes[i + 1], st[i])
+                res.append(end_state - st[i + 1])
+                blocks.append(phi)
             res.append(st[-1, :2] - bc_r)
-            return np.concatenate(res)
+            return np.concatenate(res), blocks
 
-        res = residual(states)
+        res, blocks = residual(states)
         norm = float(np.max(np.abs(res)))
         for _ in range(50):
             if norm <= tol:
@@ -590,15 +670,9 @@ def pi2_center_by_shooting(
             jac[1, 1] = 1.0
             jac[n_unknown - 2, 4 * n_seg + 0] = 1.0
             jac[n_unknown - 1, 4 * n_seg + 1] = 1.0
-            for i in range(n_seg):
-                base = propagate(nodes[i], nodes[i + 1], states[i])
-                for j in range(4):
-                    step = 1e-7 * max(1.0, abs(states[i, j]))
-                    pert = states[i].copy()
-                    pert[j] += step
-                    col = (propagate(nodes[i], nodes[i + 1], pert) - base) / step
-                    jac[2 + 4 * i : 6 + 4 * i, 4 * i + j] = col
-                jac[2 + 4 * i : 6 + 4 * i, 4 * (i + 1) : 4 * (i + 2)] -= np.eye(4)
+            for i, phi in enumerate(blocks):
+                jac[2 + 4 * i : 6 + 4 * i, 4 * i : 4 * (i + 1)] = phi
+                jac[2 + 4 * i : 6 + 4 * i, 4 * (i + 1) : 4 * (i + 2)] = -np.eye(4)
             try:
                 step_vec = np.linalg.solve(jac, res)
             except np.linalg.LinAlgError as exc:
@@ -607,7 +681,7 @@ def pi2_center_by_shooting(
             improved = False
             for _ in range(25):
                 trial = states - lam * step_vec.reshape(n_seg + 1, 4)
-                res_try = residual(trial)
+                res_try, blocks_try = residual(trial)
                 norm_try = float(np.max(np.abs(res_try)))
                 if math.isfinite(norm_try) and norm_try < norm:
                     improved = True
@@ -615,7 +689,7 @@ def pi2_center_by_shooting(
                 lam *= 0.5
             if not improved:
                 raise ConvergenceError(f"multiple-shooting line search stalled at {norm:.2e}")
-            states, res, norm = trial, res_try, norm_try
+            states, res, blocks, norm = trial, res_try, blocks_try, norm_try
         raise ConvergenceError(f"multiple shooting stalled at residual {norm:.2e}")
 
     # stage 1: symmetric short domain where the dispersionless seed converges
@@ -638,7 +712,7 @@ def pi2_center_by_shooting(
     seg = 0.68
     while nodes[0] > x_left + 1e-9:
         new_left = max(x_left, nodes[0] - seg)
-        seed_state = propagate(nodes[0], new_left, states[0])
+        seed_state, _ = propagate(nodes[0], new_left, states[0])
         nodes.insert(0, new_left)
         states = np.vstack([seed_state, states])
         states, _ = newton(np.asarray(nodes), states, tol=1e-9)

@@ -195,8 +195,10 @@ def measure_t9(x: float) -> EquilibriumMeasure:
     return EquilibriumMeasure(intervals=intervals, h_coeffs=h_coeffs, ell=ell, label=f"t9(x={x})")
 
 
-def log_potential(mu: EquilibriumMeasure, s: float) -> float:
+def log_potential(mu: EquilibriumMeasure, s):
     """int log|s - y| dmu(y), exactly, by the Chebyshev log-kernel identity.
+
+    ``s`` is a point (float result) or an array of points.
 
     With y = c + w u on the support, dmu = (w^2 / 2 pi) Q(u) du / sqrt(1-u^2)
     where Q(u) = (1 - u^2) h(c + w u) = sum_k q_k T_k(u), and
@@ -212,13 +214,18 @@ def log_potential(mu: EquilibriumMeasure, s: float) -> float:
         (poly(mu.h_coeffs)(poly([c, w])) * poly([1.0, 0.0, -1.0])).coef
     )
     coef = np.concatenate([[0.0], q[1:] / np.arange(1, q.size)])
-    sigma = (float(s) - c) / w
-    if abs(sigma) <= 1.0:
-        log_abs_z, tail = 0.0, np.polynomial.chebyshev.chebval(sigma, coef)
-    else:
-        z = sigma + math.copysign(math.sqrt(sigma * sigma - 1.0), sigma)
-        log_abs_z, tail = math.log(abs(z)), np.polynomial.polynomial.polyval(1.0 / z, coef)
-    return 0.5 * w * w * (q[0] * (math.log(0.5 * w) + log_abs_z) - float(tail))
+    sigma = (np.asarray(s, dtype=float) - c) / w
+    inside = np.abs(sigma) <= 1.0
+    # outside: the real Joukowski root; inside it is replaced by 2 (unused)
+    z = np.where(inside, 2.0, sigma + np.copysign(np.sqrt(np.abs(sigma * sigma - 1.0)), sigma))
+    log_abs_z = np.where(inside, 0.0, np.log(np.abs(z)))
+    tail = np.where(
+        inside,
+        np.polynomial.chebyshev.chebval(sigma, coef),
+        np.polynomial.polynomial.polyval(1.0 / z, coef),
+    )
+    out = 0.5 * w * w * (q[0] * (math.log(0.5 * w) + log_abs_z) - tail)
+    return float(out) if out.ndim == 0 else out
 
 
 def _default_probes(mu: EquilibriumMeasure, f: QuarticField | None = None):
@@ -268,7 +275,7 @@ def _variational_check(mu: EquilibriumMeasure, f: QuarticField, probe_grid=None)
         exterior = probe_grid[(probe_grid <= a) | (probe_grid >= b)]
 
     def lhs(points):
-        return np.array([2.0 * log_potential(mu, s) - float(field_eval(f, s)[0]) for s in points])
+        return 2.0 * log_potential(mu, points) - field_eval(f, points)[0]
 
     lhs_int = lhs(interior)
     ell_hat = float(np.mean(lhs_int))
@@ -341,6 +348,10 @@ def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[
     Newton on (center, log half-width) from ``seed`` if given, then from
     the best starts of a coarse grid scan; the result is cross-checked by
     rebuilding the density and verifying unit mass and nonnegativity.
+    The first start whose measure also meets the exterior variational
+    inequality wins (a two-well field has a valid-looking one-cut
+    candidate in each well); when none does, the first one that passes
+    the density checks is returned.
 
     Raises
     ------
@@ -374,6 +385,7 @@ def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[
 
     box = (np.array([-50.0, math.log(1e-3)]), np.array([50.0, math.log(50.0)]))
     last_error: Exception | None = None
+    first_valid = None
     for c0, lw0 in starts():
         try:
             res = newton_solve(
@@ -382,20 +394,29 @@ def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[
                 RootConfig(abs_tol=1e-12, max_iter=80, bracket=box),
             )
             c, w = float(res.x[0]), math.exp(float(res.x[1]))
-            return validate(c, w)
+            a, b = validate(c, w)
         except (ConvergenceError, NotOneCutError) as exc:
             last_error = exc
+            continue
+        if _variational_check(_onecut_measure(f, a, b), f)[1] >= 0.0:
+            return a, b
+        first_valid = first_valid or (a, b)
+    if first_valid is not None:
+        return first_valid
     raise NotOneCutError(
         "no valid one-cut endpoint solution found"
     ) from last_error
 
 
-def make_onecut_measure(f: QuarticField, seed: tuple | None = None) -> EquilibriumMeasure:
-    """Solve the endpoints and assemble the full one-cut measure."""
-    a, b = solve_onecut_endpoints(f, seed=seed)
+def _onecut_measure(f: QuarticField, a: float, b: float) -> EquilibriumMeasure:
     h = _build_h(f, a, b)
     ell = _lagrange_constant(((a, b),), h, lambda s: field_eval(f, s)[0])
     return EquilibriumMeasure(intervals=((a, b),), h_coeffs=h, ell=ell, label=f"onecut(x={f.x},t={f.t})")
+
+
+def make_onecut_measure(f: QuarticField, seed: tuple | None = None) -> EquilibriumMeasure:
+    """Solve the endpoints and assemble the full one-cut measure."""
+    return _onecut_measure(f, *solve_onecut_endpoints(f, seed=seed))
 
 
 def classify(

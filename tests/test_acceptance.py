@@ -157,7 +157,7 @@ def pi2_wide_tail():
     # one wide solve shared by the tail-window clause and its companion:
     # the mismatch being fitted (>= 1e-5) sits far above the relaxed
     # node-error cap
-    return painleve.solve_pi2(1.0, 400.0, n_points=300001, residual_cap=1e-6)
+    return painleve.solve_pi2(1.0, 400.0, residual_cap=1e-6)
 
 
 def test_criterion_07_pi2():

@@ -28,11 +28,17 @@ def fd_replay_hm(grid):
 
 def fd_replay_pi2(sol):
     # sixth-order interior stencil so the replay's own truncation error
-    # stays beneath the 1e-8 budget being verified
+    # stays beneath the 1e-8 budget being verified; the weights solve the
+    # moment conditions on the grid's own (graded) spacing
     x = sol.x_grid
-    h = x[1] - x[0]
-    v = sol.u3
-    du3 = (-v[:-6] + 9 * v[1:-5] - 45 * v[2:-4] + 45 * v[4:-2] - 9 * v[5:-1] + v[6:]) / (60 * h)
+    idx = np.arange(3, x.size - 3)[:, None] + np.arange(-3, 4)
+    d = x[idx] - x[3:-3, None]
+    scale = d[:, -1:] - d[:, :1]
+    moments = (d / scale)[:, None, :] ** np.arange(7)[None, :, None]
+    unit = np.zeros((d.shape[0], 7))
+    unit[:, 1] = 1.0
+    w = np.linalg.solve(moments, unit[..., None])[..., 0] / scale
+    du3 = np.sum(w * sol.u3[idx], axis=1)
     rhs = 240.0 * (
         sol.T * sol.u - sol.u**3 / 6.0 - (sol.u1**2 + 2 * sol.u * sol.u2) / 24.0 - x
     )
@@ -128,8 +134,10 @@ class TestPI2:
         assert fd_replay_pi2(sol) < 2e-8
 
     def test_residual_drops_with_refinement(self):
-        coarse = painleve.solve_pi2(0.0, 50.0, 12001)
-        fine = painleve.solve_pi2(0.0, 50.0, 24001)
+        # counts on the graded mesh where the h^4 drop (about 30x here)
+        # is far above the replay's rounding floor
+        coarse = painleve.solve_pi2(0.0, 50.0, 1501)
+        fine = painleve.solve_pi2(0.0, 50.0, 3001)
         assert fine.residual_norm < coarse.residual_norm / 4.0
 
     def test_deterministic_rerun(self):
@@ -165,9 +173,9 @@ class TestPI2:
             painleve.solve_pi2(5.0, 10.0, 2001)
 
     def test_coarse_mesh_over_residual_cap(self):
-        # 2001 nodes on [-50, 50] leave a replay residual near 5e-5
+        # 500 graded nodes on [-50, 50] leave a replay residual near 3e-6
         with pytest.raises(AccuracyError, match="replay residual"):
-            painleve.solve_pi2(0.0, 50.0, 2001)
+            painleve.solve_pi2(0.0, 50.0, 500)
 
     def test_cache_is_bounded(self, monkeypatch):
         calls = []
@@ -188,8 +196,27 @@ class TestPI2:
 
     def test_derivative_consistency(self, pi2_t0):
         # stored first derivative matches a finite difference of u
-        x = pi2_t0.x_grid
-        h = x[1] - x[0]
+        # (three-point formula on the grid's own spacing)
+        x, u = pi2_t0.x_grid, pi2_t0.u
         i = len(x) // 2 + 7
-        fd = (pi2_t0.u[i + 1] - pi2_t0.u[i - 1]) / (2 * h)
+        hm, hp = x[i] - x[i - 1], x[i + 1] - x[i]
+        fd = (hm**2 * u[i + 1] - hp**2 * u[i - 1] - (hm**2 - hp**2) * u[i]) / (hm * hp * (hm + hp))
         assert pi2_t0.u1[i] == pytest.approx(fd, abs=1e-5 + 1e-4 * abs(fd))
+
+
+def test_replay_stencil_on_uniform_and_graded_grids():
+    # uniform grid: the classical sixth-order stencil, to rounding
+    x = np.linspace(-3.0, 3.0, 41)
+    h = x[1] - x[0]
+    v = np.sin(2.0 * x) + x**3
+    classic = (-v[:-6] + 9 * v[1:-5] - 45 * v[2:-4] + 45 * v[4:-2] - 9 * v[5:-1] + v[6:]) / (60 * h)
+    target = np.zeros_like(x)
+    target[3:-3] = classic
+    assert painleve._replay_residual(x, v, target) < 1e-12
+    # sinh-graded grid: sixth-order convergence for a manufactured function
+    errors = []
+    for n in (81, 161, 321):
+        x = 5.0 * np.sinh(3.0 * np.linspace(-1.0, 1.0, n)) / np.sinh(3.0)
+        errors.append(painleve._replay_residual(x, np.sin(x), np.cos(x)))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders > 5.5)

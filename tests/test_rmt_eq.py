@@ -97,10 +97,14 @@ class TestVariational:
 
     def test_log_potential_against_oracle(self):
         mu = rmt_eq.measure_line_t(0.5)
-        for s in (-1.3, 0.2, 2.8):
+        points = (-1.3, 0.2, 2.8)
+        for s in points:
             assert rmt_eq.log_potential(mu, s) == pytest.approx(
                 log_potential_oracle(mu, s), abs=1e-9
             )
+        # an array of points gives the pointwise values
+        many = rmt_eq.log_potential(mu, np.array(points))
+        assert many == pytest.approx([rmt_eq.log_potential(mu, s) for s in points], abs=1e-15)
 
     def test_wrong_measure_detected(self):
         eq, _ = rmt_eq.variational_residual(
@@ -220,6 +224,24 @@ class TestPhaseDiagram:
         rep = rmt_eq.classify(rmt_eq.make_onecut_measure(f), f)
         assert row["class"] == rep.kind == "none"
         assert row["margin"] == pytest.approx(min(rep.margins.values()), abs=1e-10)
+
+    def test_cold_solve_lands_in_the_exterior_valid_well(self):
+        # the first scan start at (1.25, 2) converges to a one-cut measure
+        # in the right well (support near [2.57, 3.97], exterior margin
+        # about -23.6); the cold solve must pass it over for the measure
+        # the sweep from x = 1 reaches
+        row = rmt_eq.rmt_phase_diagram([1.0, 1.25], [2.0])[1]
+        f = rmt_eq.QuarticField(1.25, 2.0)
+        rep = rmt_eq.classify(rmt_eq.make_onecut_measure(f), f)
+        assert row["class"] == rep.kind == "none"
+        assert rep.margins["exterior_I"] > 0.0
+        assert row["margin"] == pytest.approx(min(rep.margins.values()), abs=1e-10)
+        assert row["margin"] == pytest.approx(0.157, abs=1e-3)
+        # a seed from a cell without a valid one-cut measure (x = 0, t = 5)
+        # must not carry the sweep into the wrong well either
+        rows = rmt_eq.rmt_phase_diagram([0.0, 1.0], [5.0])
+        assert rows[0]["class"] == "exterior_I"
+        assert rows[1]["class"] == "none" and rows[1]["margin"] > 0.0
 
     def test_failures_do_not_abort(self):
         rows = rmt_eq.rmt_phase_diagram([X_STAR + 1.0, X_STAR - 1.0], [9.0])
