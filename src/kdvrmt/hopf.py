@@ -270,15 +270,21 @@ def breaking_point(data: InitialData) -> CatastrophePoint:
 
 
 _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
+# Integrand values per block (measured, CHANGES.md): below 2**14 each
+# temporary stays under glibc's 128 KiB mmap threshold and in L2; 2**15
+# to 2**17 doubled the edge sweep's time, mostly in page faults.
+_BLOCK = 2**14
 
 
 def _theta_quadrature(lam, u: float, deriv_fn, power: int):
     """(1/(2 sqrt 2)) int ((1+m)/2)^power deriv_fn(z) / sqrt(1-m) dm.
 
-    ``lam`` is a scalar (a float comes back) or an array, evaluated
-    against the nodes as ``lam[..., None]``.  Node counts double from 48
-    until no value moves by 1e-10 or more.  The factor ((1+m)/2)^power
-    is folded into the weights, so no integrand-sized product is formed.
+    ``lam`` is a scalar (a float comes back) or an array of any shape.
+    Node counts double from 48 until no value moves by 1e-10 or more.
+    Each rule walks the flattened ``lam`` in blocks of about ``_BLOCK``
+    integrand values, so no (lam x n) array is formed, and contracts each
+    block with the weights (((1+m)/2)^power folded in) by ``einsum``, off
+    BLAS, whose threads cost CPU time here and save no wall time.
     """
     lam = np.asarray(lam, dtype=float)
     u = float(u)
@@ -286,14 +292,19 @@ def _theta_quadrature(lam, u: float, deriv_fn, power: int):
         raise DomainError(
             f"theta arguments must lie in (-1, 0); got lam in [{lam.min()}, {lam.max()}], u = {u}"
         )
+    flat = lam.reshape(-1, 1)
     prev = None
     n = 48
     while n <= 3072:
         rule = gauss_jacobi_rule(n, -0.5, 0.0)
-        m = rule.nodes
-        w = rule.weights * (0.5 * (1.0 + m)) ** power if power else rule.weights
-        z = 0.5 * (1.0 + m) * lam[..., None] + 0.5 * (1.0 - m) * u
-        val = _INV_2SQRT2 * (np.asarray(deriv_fn(z), dtype=float) @ w)
+        b, a = 0.5 * (1.0 + rule.nodes), 0.5 * (1.0 - rule.nodes) * u
+        w = rule.weights * b**power if power else rule.weights
+        sums = np.empty(flat.shape[0])
+        rows = max(1, _BLOCK // n)
+        for i in range(0, flat.shape[0], rows):
+            f = np.asarray(deriv_fn(flat[i : i + rows] * b + a), dtype=float)
+            np.einsum("ij,j->i", f, w, out=sums[i : i + rows])
+        val = _INV_2SQRT2 * sums.reshape(lam.shape)
         if prev is not None and np.max(np.abs(val - prev)) < 1e-10:
             return float(val) if val.ndim == 0 else val
         prev = val

@@ -204,6 +204,9 @@ def _solve_edge(
         t_i = t_path[i]
         try:
             res = newton_solve(system(t_i, data), w, cfg)
+            # the edges open from v = u as t grows: a halved gap slid onto v = u
+            if res.x[1] < w[1] - math.log(2.0):
+                raise ConvergenceError(f"{kind}-edge gap collapsed onto v = u at t = {t_i:.6f}")
             w = np.asarray(res.x)
             i += 1
             half = 0

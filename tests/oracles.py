@@ -8,6 +8,7 @@ Stieltjes loop, time stepping instead of the spectral map.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -101,6 +102,32 @@ def theta_by_substitution(lam: float, u: float, data) -> float:
 
     val, _ = quad(integrand, 0.0, math.sqrt(2.0), epsabs=1e-13, epsrel=1e-13, limit=200)
     return val / (2.0 * math.sqrt(2.0))
+
+
+def theta_one_shot(lam, u: float, deriv_fn, power: int):
+    """The theta kernel as one (lam x n) integrand contracted by ``@``.
+
+    The unblocked formulation of ``hopf._theta_quadrature``: the same
+    Gauss-Jacobi(-1/2, 0) rules, 48 -> 3072 doubling and 1e-10 stopping
+    test, with the whole integrand formed at once and contracted by BLAS.
+    """
+    from kdvrmt.core import gauss_jacobi_rule
+    from kdvrmt.errors import AccuracyError
+
+    lam = np.asarray(lam, dtype=float)
+    prev = None
+    n = 48
+    while n <= 3072:
+        rule = gauss_jacobi_rule(n, -0.5, 0.0)
+        m = rule.nodes
+        w = rule.weights * (0.5 * (1.0 + m)) ** power if power else rule.weights
+        z = 0.5 * (1.0 + m) * lam[..., None] + 0.5 * (1.0 - m) * u
+        val = (1.0 / (2.0 * math.sqrt(2.0))) * (np.asarray(deriv_fn(z), dtype=float) @ w)
+        if prev is not None and np.max(np.abs(val - prev)) < 1e-10:
+            return float(val) if val.ndim == 0 else val
+        prev = val
+        n *= 2
+    raise AccuracyError("one-shot theta did not converge under node doubling")
 
 
 def edge_grid_scan(t: float, data, kind: str, n_coarse: int = 81, n_refine: int = 4):
@@ -281,3 +308,15 @@ def toda_rk4(state, k: int, dt: float, steps: int):
         gamma = gamma + dt / 6.0 * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
         beta = beta + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
     return gamma, beta
+
+
+@functools.cache
+def pi2_center_shooting_value() -> float:
+    """``painleve.pi2_center_by_shooting()``, computed once per process.
+
+    The shooting run takes seconds and its value never changes, so the
+    tests that hold the collocation solver to it share one run.
+    """
+    from kdvrmt import painleve
+
+    return painleve.pi2_center_by_shooting()

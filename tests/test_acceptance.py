@@ -14,7 +14,7 @@ import pytest
 
 from kdvrmt import cli, hopf, kdv_asym, kdv_direct, orthopoly, painleve, rmt_eq, toda
 
-from oracles import golden_section_max
+from oracles import golden_section_max, pi2_center_shooting_value
 
 X_STAR = rmt_eq.X_STAR
 
@@ -168,7 +168,7 @@ def test_criterion_07_pi2():
         residuals.append(sol.residual_norm)
     res_ok = max(residuals) < 1e-8
     u0_colloc = painleve.eval_pi2(painleve.pi2_solution_cached(0.0, 50.0), 0.0)
-    u0_shoot = painleve.pi2_center_by_shooting()
+    u0_shoot = pi2_center_shooting_value()
     agree_ok = abs(u0_colloc - u0_shoot) < 1e-6
     ok = res_ok and agree_ok
     elapsed_ok = time.time() - t0 < 120.0

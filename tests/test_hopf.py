@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvrmt import hopf
-from kdvrmt.errors import AmbiguityError, DomainError, GenericityError
+from kdvrmt.core import gauss_jacobi_rule
+from kdvrmt.errors import AccuracyError, AmbiguityError, DomainError, GenericityError
 
-from oracles import golden_section_max, hopf_dense_scan, theta_by_substitution
+from oracles import golden_section_max, hopf_dense_scan, theta_by_substitution, theta_one_shot
 
 SQ3 = math.sqrt(3.0)
 
@@ -205,6 +207,71 @@ class TestThetaKernel:
     def test_diagonal_property(self, u):
         d = hopf.make_sech2_data()
         assert hopf.theta_of(u, u, d) == pytest.approx(float(d.f_L_prime(u)), rel=1e-9)
+
+
+class TestThetaBlocks:
+    """The blocked kernel against the one-shot (lam x n) reference.
+
+    The blocks change only the summation order, so values agree to a
+    few ulp of the largest value; the bound is 1e-14 relative to that
+    (norm-wise), because theta_v changes sign on (-0.9, -0.2) and a value
+    next to its zero carries the rounding of much larger summands.
+    """
+
+    DERIV = {"theta_of": ("f_L_prime", 0), "theta_v": ("f_L_second", 1), "theta_vv": ("f_L_third", 2)}
+
+    @pytest.fixture(scope="class")
+    def trailing_lam(self):
+        # the 768-node (0, 1/2) rule of trailing_integral on [u, v], near
+        # the end of the trailing window: dozens of blocks at 3,072 nodes
+        u, v = -0.99989078, -0.2545
+        rule = gauss_jacobi_rule(768, 0.0, 0.5)
+        return u + (v - u) * 0.5 * (1.0 + rule.nodes), u
+
+    def reference(self, fn, lam, u, data):
+        name, power = self.DERIV[fn.__name__]
+        return theta_one_shot(lam, u, getattr(data, name), power)
+
+    def test_trailing_rule_matches_one_shot(self, data, trailing_lam):
+        lam, u = trailing_lam
+        val = hopf.theta_of(lam, u, data)
+        assert val.shape == lam.shape
+        ref = self.reference(hopf.theta_of, lam, u, data)
+        assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("fn", [hopf.theta_v, hopf.theta_vv])
+    def test_trailing_rule_derivatives_still_unconverged(self, data, trailing_lam, fn):
+        lam, u = trailing_lam
+        with pytest.raises(AccuracyError):
+            fn(lam, u, data)
+        with pytest.raises(AccuracyError):
+            self.reference(fn, lam, u, data)
+
+    @pytest.mark.parametrize("fn", [hopf.theta_of, hopf.theta_v, hopf.theta_vv])
+    def test_many_lam_and_scalar_match_one_shot(self, data, fn):
+        lams = np.random.default_rng(8).uniform(-0.9, -0.2, 3000)
+        for lam in (lams, lams[:2400].reshape(40, 60), -0.45):
+            val = fn(lam, -0.7, data)
+            ref = self.reference(fn, lam, -0.7, data)
+            assert type(val) is type(ref) and np.shape(val) == np.shape(ref)
+            assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_trailing_rule_peak_memory(self, data, trailing_lam):
+        # the one-shot form holds a 768 x 3,072 integrand (18 MiB) and its
+        # temporaries; the blocked kernel holds one block at a time
+        lam, u = trailing_lam
+        hopf.theta_of(lam, u, data)  # rules cached before tracing
+        tracemalloc.start()
+        try:
+            hopf.theta_of(lam, u, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_cap_still_raises_next_to_the_minimum(self, data):
+        with pytest.raises(AccuracyError):
+            hopf.theta_of(-0.25, -0.9999999, data)
 
 
 class TestTabulatedData:

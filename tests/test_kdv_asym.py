@@ -59,6 +59,15 @@ class TestEdgeSystems:
         assert trail.u == pytest.approx(u_ref, abs=2e-4)
         assert trail.v == pytest.approx(v_ref, abs=2e-4)
 
+    def test_trailing_start_step_stays_off_the_diagonal(self, data):
+        # from t_c + 1e-4, Newton's first step toward t = 0.23 lands on the
+        # trivial root v = u (gap ~1e-12); the continuation must halve that
+        # step instead of returning the point
+        trail = kdv_asym.solve_trailing_edge(0.23, data)
+        u_ref, v_ref = edge_grid_scan(0.23, data, "trailing")
+        assert trail.u == pytest.approx(u_ref, abs=2e-4)
+        assert trail.v == pytest.approx(v_ref, abs=2e-4)
+
     def test_degeneration_at_catastrophe(self, data, cp):
         t = cp.t_c + 1e-8
         lead = kdv_asym.solve_leading_edge(t, data)
@@ -95,6 +104,8 @@ class TestPhaseDiagram:
         for r in rows:
             lead = kdv_asym.solve_leading_edge(r["t"], data)
             assert r["x_minus"] == pytest.approx(lead.x_edge, abs=1e-8)
+            trail = kdv_asym.solve_trailing_edge(r["t"], data)
+            assert r["x_plus"] == pytest.approx(trail.x_edge, abs=1e-8)
 
     def test_window_end_marked_not_fatal(self, data, cp):
         # at 0.30 a trailing solution exists (u ~ -0.99995; the branch ends

@@ -7,6 +7,8 @@ from kdvrmt import painleve
 from kdvrmt.core import airy
 from kdvrmt.errors import AccuracyError, ConvergenceError, DomainError
 
+from oracles import pi2_center_shooting_value
+
 
 @pytest.fixture(scope="module")
 def hm():
@@ -160,7 +162,7 @@ class TestPI2:
         assert slope == pytest.approx(-2.0, abs=0.2)
 
     def test_center_value_against_shooting(self, pi2_t0):
-        u00 = painleve.pi2_center_by_shooting()
+        u00 = pi2_center_shooting_value()
         assert painleve.eval_pi2(pi2_t0, 0.0) == pytest.approx(u00, abs=1e-6)
 
     def test_eval_outside_domain_flags(self, pi2_t0):
