@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from kdvrmt import hopf, kdv_asym, kdv_direct, painleve
+from kdvrmt import hopf, kdv_asym, kdv_direct
 
 data = hopf.make_sech2_data()
 cp = hopf.breaking_point(data)
@@ -28,14 +28,13 @@ print(f"\n== leading edge at t = {t} ==")
 print(f"  x- = {edge.x_edge:+.6f}, u = {edge.u:+.6f}, v = {edge.v:+.6f}")
 print(f"  residual replay: 6t + theta(v;u) = {6*t + hopf.theta_of(edge.v, edge.u, data):+.2e}")
 
-hm = painleve.default_hm_grid()
 eps = 0.06
 field = kdv_direct.solve_kdv(data, eps=eps, t_final=t)
 xs = np.linspace(edge.x_edge - 0.2, edge.x_edge + 0.4, 9)
 print(f"\n  direct vs Airy-envelope modulation at eps = {eps}:")
 for x in xs:
     d = kdv_direct.probe(field, float(x))
-    a = kdv_asym.leading_edge_approx(float(x), t, eps, edge, data, hm_grid=hm)
+    a = kdv_asym.leading_edge_approx(float(x), t, eps, edge, data)
     print(f"    x = {x:+.3f}: direct {d:+.5f}  modulated {a:+.5f}  diff {abs(d-a):.4f}")
 wavelength = math.pi * eps / math.sqrt(edge.u - edge.v)
 print(f"  predicted oscillation wavelength near the edge: {wavelength:.4f}")

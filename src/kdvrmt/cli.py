@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -98,7 +99,7 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def cmd_kdv_phase(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_kdv_phase(cfg: dict, out: Path) -> int:
     data = _initial_data(cfg)
     cp = hopf.breaking_point(data)
     t_grid = _floats(cfg, "t_grid", "")
@@ -174,7 +175,7 @@ def cmd_kdv_compare(cfg: dict, out: Path, jobs: int) -> int:
     return 2 if errors else 0
 
 
-def cmd_rmt_phase(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_rmt_phase(cfg: dict, out: Path) -> int:
     x_grid = _floats(cfg, "x_grid", "-4.0,-3.0,-2.0,-1.0,0.0")
     t_grid = _floats(cfg, "t_grid", "0.5,1.0")
     rows = rmt_eq.rmt_phase_diagram(x_grid, t_grid)
@@ -190,7 +191,7 @@ def cmd_rmt_phase(cfg: dict, out: Path, jobs: int) -> int:
     return 2 if failures else 0
 
 
-def cmd_op_table(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_op_table(cfg: dict, out: Path) -> int:
     which = cfg.get("which", "regular")
     x = float(cfg.get("x", "0.0"))
     t = float(cfg.get("t", "0.0"))
@@ -216,7 +217,7 @@ def cmd_op_table(cfg: dict, out: Path, jobs: int) -> int:
     return 2 if failures else 0
 
 
-def cmd_toda_run(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_toda_run(cfg: dict, out: Path) -> int:
     n_weight = int(cfg.get("N", "20"))
     n_max = int(cfg.get("n_max", "32"))
     k = int(cfg.get("flow_k", "1"))
@@ -282,8 +283,12 @@ def main(argv=None) -> int:
         unknown = sorted(set(cfg) - keys)
         if unknown:
             raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+        if args.command == "kdv-compare":
+            command = functools.partial(command, jobs=args.jobs)
+        elif args.jobs != 1:
+            raise ValueError(f"--jobs applies to kdv-compare only; {args.command} runs serially")
         out.mkdir(parents=True, exist_ok=True)
-        code = command(cfg, out, args.jobs)
+        code = command(cfg, out)
     except (ValueError, KdvrmtError) as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return 1

@@ -219,7 +219,7 @@ def newton_solve(
     cfg: RootConfig | None = None,
     jac: Callable | None = None,
 ) -> NewtonResult:
-    """Damped Newton iteration for F(x) = 0, F: R^k -> R^k.
+    """Damped Newton iteration for F(x) = 0, F: R^k -> R^k, from the 1-d array x0.
 
     The Jacobian defaults to central finite differences with step
     eps^(1/3) * scale.  Identical inputs produce identical iterates.
@@ -233,21 +233,20 @@ def newton_solve(
         the exception carries the last iterate.
     """
     cfg = cfg or RootConfig()
-    scalar_input = np.isscalar(x0) or np.ndim(x0) == 0
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = np.array(x0, dtype=float)
 
     def fvec(v):
-        return np.atleast_1d(np.asarray(f(v[0] if scalar_input else v), dtype=float))
+        return np.atleast_1d(np.asarray(f(v), dtype=float))
 
     fx = fvec(x)
     norm = float(np.max(np.abs(fx)))
     for it in range(cfg.max_iter):
         if norm <= cfg.abs_tol:
-            return NewtonResult(x=x[0] if scalar_input else x, iterations=it, residual_norm=norm)
+            return NewtonResult(x=x, iterations=it, residual_norm=norm)
         jmat = (
-            np.atleast_2d(np.asarray(jac(x[0] if scalar_input else x), dtype=float))
+            np.atleast_2d(np.asarray(jac(x), dtype=float))
             if jac is not None
-            else _fd_jacobian(lambda v: fvec(v), x, fx)
+            else _fd_jacobian(fvec, x, fx)
         )
         try:
             step = np.linalg.solve(jmat, fx)
@@ -273,17 +272,13 @@ def newton_solve(
             lam *= 0.5
         else:
             if norm <= 100.0 * cfg.abs_tol:  # stalled at the rounding floor
-                return NewtonResult(
-                    x=x[0] if scalar_input else x, iterations=it, residual_norm=norm
-                )
+                return NewtonResult(x=x, iterations=it, residual_norm=norm)
             raise ConvergenceError(
                 "Newton line search stalled", last_iterate=x.copy(), iterations=it
             )
         x, fx, norm = x_new, f_new, n_new
     if norm <= cfg.abs_tol:
-        return NewtonResult(
-            x=x[0] if scalar_input else x, iterations=cfg.max_iter, residual_norm=norm
-        )
+        return NewtonResult(x=x, iterations=cfg.max_iter, residual_norm=norm)
     raise ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations (|F| = {norm:.3e})",
         last_iterate=x.copy(),
@@ -300,22 +295,22 @@ def sech2(x: float) -> float:
     return 1.0 / (c * c)
 
 
-def sech2_train(offset: Callable[[int], float], cutoff: float = 1e-16, k_max: int = 100000) -> float:
+def sech2_train(offset: Callable[[int], float]) -> float:
     """Sum of sech^2 over a train of centers, sum_k sech^2(X_k).
 
     ``offset(k)`` returns X_k.  Within the validity window the X_k
     decrease strictly with k; summation stops once a term on that
-    decreasing side falls under ``cutoff``, or as soon as the sequence
+    decreasing side falls under 1e-16, or as soon as the sequence
     turns around (the far formal tail where X_k rises again lies outside
     the window and is deliberately not summed).  Both the soliton-train
     edge expansion and the conjectured exterior-point recurrence formula
     evaluate their sums through this one kernel, so matched inputs agree
     bit-for-bit.
     """
-    x_cut = 0.5 * math.log(4.0 / cutoff)
+    x_cut = 0.5 * math.log(4.0 / 1e-16)  # sech^2 x < 4 e^{-2|x|}
     total = 0.0
     x_prev = math.inf
-    for k in range(k_max):
+    for k in range(100000):
         x_k = offset(k)
         if x_k >= x_prev:
             return total

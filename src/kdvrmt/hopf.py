@@ -56,7 +56,6 @@ class InitialData:
     f_L_third: Callable
     x_M: float
     domain_halfwidth: float
-    label: str = "custom"
 
     def self_check(self) -> None:
         """Verify the structural invariants on a sample grid."""
@@ -88,8 +87,8 @@ class CatastrophePoint:
     k: float  # -f_L'''(u_c), positive for generic data
 
 
-def make_sech2_data(domain_halfwidth: float = 15.0) -> InitialData:
-    """The profile u0(x) = -sech(x)^2 with closed-form branch inverse.
+def make_sech2_data() -> InitialData:
+    """The profile u0(x) = -sech(x)^2 on [-15, 15] with closed-form branch inverse.
 
     f_L(u) = -log((1 + sqrt(1+u)) / sqrt(-u)) on (-1, 0), and all three
     derivatives are analytic: f_L'(u) = 1 / (2 u sqrt(1+u)).
@@ -127,8 +126,7 @@ def make_sech2_data(domain_halfwidth: float = 15.0) -> InitialData:
         f_L_second=f_l_second,
         f_L_third=f_l_third,
         x_M=0.0,
-        domain_halfwidth=float(domain_halfwidth),
-        label="sech2",
+        domain_halfwidth=15.0,
     )
     return data
 
@@ -172,7 +170,6 @@ def make_tabulated_data(x: np.ndarray, u: np.ndarray) -> InitialData:
         f_L_third=f_l_ppp,
         x_M=float(x[i_min]),
         domain_halfwidth=float(min(-x[0], x[-1])),
-        label="tabulated",
     )
     return data
 

@@ -74,7 +74,6 @@ class EllipticAnsatz:
     beta1: float
     beta2: float
     beta3: float
-    q_phase: float = 0.0
 
     def __post_init__(self):
         if not self.beta1 > self.beta2 > self.beta3:
@@ -108,9 +107,27 @@ class EllipticAnsatz:
 # edge systems
 # ----------------------------------------------------------------------
 
-# starting node count of the (0, 1/2) Gauss-Jacobi rule that absorbs the
-# square-root endpoint factor of the trailing and phase integrals
-_SQRT_RULE_NODES = 96
+def _sqrt_weighted_integral(g, lo: float, hi: float, what: str) -> float:
+    """int_lo^hi g(lam) sqrt(lam - lo) dlam by Gauss-Jacobi.
+
+    The sqrt(lam - lo) endpoint factor is absorbed into a (0, 1/2) rule
+    mapped onto [lo, hi]; the node count doubles from 96 as a convergence
+    guard, and AccuracyError (naming ``what``) is raised if two rules
+    still differ by 1e-10 at 768 nodes.
+    """
+    prev = None
+    nodes = 96
+    while nodes <= 768:
+        rule = gauss_jacobi_rule(nodes, 0.0, 0.5)
+        lam = lo + (hi - lo) * 0.5 * (1.0 + rule.nodes)
+        vals = g(lam)
+        scale = ((hi - lo) * 0.5) ** 1.5
+        out = scale * float(np.dot(rule.weights, vals))
+        if prev is not None and abs(out - prev) < 1e-10:
+            return out
+        prev = out
+        nodes *= 2
+    raise AccuracyError(f"{what} on [{lo:.6g}, {hi:.6g}] unconverged at 768 nodes")
 
 
 def _leading_system(t: float, data: InitialData):
@@ -127,26 +144,14 @@ def _leading_system(t: float, data: InitialData):
 def trailing_integral(u: float, v: float, t: float, data: InitialData) -> float:
     """int_u^v (6t + theta(lam; u)) sqrt(lam - u) dlam by Gauss-Jacobi.
 
-    The sqrt(lam - u) endpoint factor is absorbed into a (0, 1/2) rule
-    mapped onto [u, v]; the node count doubles from 96 as a convergence
-    guard (the integrand is smooth), and AccuracyError is raised if two
-    rules still differ by 1e-10 at 768 nodes.
+    The integrand is smooth; the node-doubling guard of
+    ``_sqrt_weighted_integral`` applies.
     """
     if v <= u:
         raise DomainError("trailing integral needs v > u")
-    prev = None
-    nodes = _SQRT_RULE_NODES
-    while nodes <= 768:
-        rule = gauss_jacobi_rule(nodes, 0.0, 0.5)
-        lam = u + (v - u) * 0.5 * (1.0 + rule.nodes)
-        vals = 6.0 * t + theta_of(lam, u, data)
-        scale = ((v - u) * 0.5) ** 1.5
-        out = scale * float(np.dot(rule.weights, vals))
-        if prev is not None and abs(out - prev) < 1e-10:
-            return out
-        prev = out
-        nodes *= 2
-    raise AccuracyError(f"trailing integral on [{u:.6g}, {v:.6g}] unconverged at 768 nodes")
+    return _sqrt_weighted_integral(
+        lambda lam: 6.0 * t + theta_of(lam, u, data), u, v, "trailing integral"
+    )
 
 
 def _trailing_system(t: float, data: InitialData):
@@ -291,7 +296,7 @@ def elliptic_approx(x: float, t: float, eps: float, ansatz: EllipticAnsatz) -> f
     alpha = -b1 + (b1 - b3) * e_val / k_val
     tau = 1j * kp_val / k_val
     root = math.sqrt(b1 - b3)
-    z = (root / (2.0 * eps * k_val)) * (x - 2.0 * t * (b1 + b2 + b3) - ansatz.q_phase)
+    z = (root / (2.0 * eps * k_val)) * (x - 2.0 * t * (b1 + b2 + b3))
     th0 = theta3(z, tau)
     th1 = theta3(z, tau, dz=1)
     th2 = theta3(z, tau, dz=2)
@@ -304,33 +309,21 @@ def elliptic_approx(x: float, t: float, eps: float, ansatz: EllipticAnsatz) -> f
 # critical expansions
 # ----------------------------------------------------------------------
 
-def catastrophe_approx(
-    x: float, t: float, eps: float, cp: CatastrophePoint, pi2_kwargs: dict | None = None
-) -> float:
+def catastrophe_approx(x: float, t: float, eps: float, cp: CatastrophePoint) -> float:
     """Double-scaling expansion at the gradient catastrophe point.
 
     u ~ u_c + (2 eps^2 / k^2)^{1/7} U(X, T) with the rescaled coordinates
     X = (x - x_c - 6 u_c (t - t_c)) / (8 k eps^6)^{1/7} and
-    T = 6 (t - t_c) / (4 k^3 eps^4)^{1/7}.
+    T = 6 (t - t_c) / (4 k^3 eps^4)^{1/7}; U is solved on [-50, 50].
     """
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     k = cp.k
     big_x = (x - cp.x_c - 6.0 * cp.u_c * (t - cp.t_c)) / (8.0 * k * eps**6) ** (1.0 / 7.0)
     big_t = 6.0 * (t - cp.t_c) / (4.0 * k**3 * eps**4) ** (1.0 / 7.0)
-    kw = pi2_kwargs or {}
-    sol = painleve.pi2_solution_cached(big_t, **kw)
+    sol = painleve.pi2_solution_cached(big_t)
     u_val = painleve.eval_pi2(sol, big_x)
     return cp.u_c + (2.0 * eps**2 / k**2) ** (1.0 / 7.0) * float(u_val)
-
-
-def _phase_integral(edge: EdgeSolution, t: float, data: InitialData) -> float:
-    """int_v^u (f_L'(xi) + 6t) sqrt(xi - v) dxi with the (0,1/2) rule."""
-    u, v = edge.u, edge.v
-    rule = gauss_jacobi_rule(_SQRT_RULE_NODES, 0.0, 0.5)
-    xi = v + (u - v) * 0.5 * (1.0 + rule.nodes)
-    vals = np.asarray(data.f_L_prime(xi), dtype=float) + 6.0 * t
-    return ((u - v) * 0.5) ** 1.5 * float(np.dot(rule.weights, vals))
 
 
 def leading_edge_phase(x: float, t: float, edge: EdgeSolution, data: InitialData) -> float:
@@ -338,7 +331,13 @@ def leading_edge_phase(x: float, t: float, edge: EdgeSolution, data: InitialData
     if edge.kind != "leading":
         raise DomainError("needs a leading-edge solution")
     u, v = edge.u, edge.v
-    return 2.0 * math.sqrt(u - v) * (x - edge.x_edge) + 2.0 * _phase_integral(edge, t, data)
+    integral = _sqrt_weighted_integral(
+        lambda xi: np.asarray(data.f_L_prime(xi), dtype=float) + 6.0 * t,
+        v,
+        u,
+        "leading-edge phase integral",
+    )
+    return 2.0 * math.sqrt(u - v) * (x - edge.x_edge) + 2.0 * integral
 
 
 def leading_edge_approx(
@@ -347,7 +346,6 @@ def leading_edge_approx(
     eps: float,
     edge: EdgeSolution,
     data: InitialData,
-    hm_grid=None,
 ) -> float:
     """Airy-envelope modulation at the left edge of the oscillations.
 
@@ -365,8 +363,7 @@ def leading_edge_approx(
     if c <= 0.0:
         raise GenericityError("leading-edge constant c is not positive")
     s_val = -(x - edge.x_edge) / (c ** (1.0 / 3.0) * math.sqrt(u - v) * eps ** (2.0 / 3.0))
-    grid = hm_grid if hm_grid is not None else painleve.default_hm_grid()
-    q_val = float(painleve.eval_hm(grid, s_val))
+    q_val = float(painleve.eval_hm(painleve.default_hm_grid(), s_val))
     phase = leading_edge_phase(x, t, edge, data)
     return u - (4.0 * eps ** (1.0 / 3.0) / c ** (1.0 / 3.0)) * q_val * math.cos(phase / eps)
 

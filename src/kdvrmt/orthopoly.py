@@ -256,9 +256,7 @@ def interior_critical_data_t9() -> InteriorCriticalData:
     )
 
 
-def asym_interior(
-    x: float, n: int, crit: InteriorCriticalData, hm_grid=None
-) -> tuple[float, float]:
+def asym_interior(x: float, n: int, crit: InteriorCriticalData) -> tuple[float, float]:
     """Interior-critical expansion of (gamma_n, beta_n) at parameter x.
 
     The envelope is the Hastings-McLeod solution evaluated at
@@ -279,8 +277,7 @@ def asym_interior(
             f"s_xn = {s_xn:.3g} exceeds n^(1/6); outside the double-scaling window",
             stacklevel=2,
         )
-    grid = hm_grid if hm_grid is not None else painleve.default_hm_grid()
-    q_val = float(painleve.eval_hm(grid, s_xn))
+    q_val = float(painleve.eval_hm(painleve.default_hm_grid(), s_xn))
     phase = 2.0 * math.pi * n * crit.omega
     gamma_n = (b - a) / 4.0 - (0.5 / c) * q_val * math.cos(phase) * n ** (-1.0 / 3.0)
     beta_n = (b + a) / 2.0 + (1.0 / c) * q_val * math.sin(phase + theta_rm) * n ** (-1.0 / 3.0)
@@ -348,13 +345,7 @@ def conjectured_exterior(y: float, n: int, params: ExteriorParams) -> Conjecture
     return ConjecturedExteriorResult(gamma_n=gamma_n, beta_n=beta_n)
 
 
-def compare_asymptotics(
-    f: QuarticField,
-    n_range: Sequence[int],
-    which: str,
-    crit: InteriorCriticalData | None = None,
-    pi2_kwargs: dict | None = None,
-) -> tuple[list[dict], float]:
+def compare_asymptotics(f: QuarticField, n_range: Sequence[int], which: str) -> tuple[list[dict], float]:
     """Numeric (diagonal N = n) vs asymptotic coefficients, with decay fit.
 
     Returns the rows and the least-squares slope of log|gamma error|
@@ -372,9 +363,8 @@ def compare_asymptotics(
             limits = asym_onecut(*rmt_eq.solve_onecut_endpoints(f))
         except KdvrmtError as exc:
             limits = exc
-    if which == "interior" and crit is None:
+    if which == "interior":
         crit = interior_critical_data_t9()
-    kw = pi2_kwargs or {}
     for n in n_range:
         row = dict.fromkeys(
             ("gamma_num", "beta_num", "gamma_asym", "beta_asym", "err_gamma", "err_beta"), math.nan
@@ -391,7 +381,7 @@ def compare_asymptotics(
             elif which == "interior":
                 g_asym, b_asym = asym_interior(f.x, n, crit)
             else:
-                g_asym, b_asym = asym_edge(f.x, f.t, n, **kw)
+                g_asym, b_asym = asym_edge(f.x, f.t, n)
             row.update(
                 gamma_asym=g_asym,
                 beta_asym=b_asym,

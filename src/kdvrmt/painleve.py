@@ -291,9 +291,6 @@ class PI2Solution:
     residual_norm: float
     boundary_mismatch: float
 
-    def eval(self, x):
-        return eval_pi2(self, x)
-
 
 def _solve_pi2_mesh(t_param, x, y_init, tol=1e-11):
     rhs, jac = _pi2_system(t_param)
@@ -372,12 +369,7 @@ def _defect_mesh(x, y, fy, target, big_l, n_points=None):
     return _equidistribute(x, rho, n_points)
 
 
-def solve_pi2(
-    t_param: float,
-    big_l: float = 50.0,
-    n_points: int | None = None,
-    residual_cap: float = 1e-7,
-) -> PI2Solution:
+def solve_pi2(t_param: float, big_l: float = 50.0, n_points: int | None = None) -> PI2Solution:
     """Solve the fourth-order profile BVP on [-L, L] at parameter T.
 
     Strategy: continuation in T from 0 in steps of 0.25 (the nonlinear
@@ -399,7 +391,8 @@ def solve_pi2(
     ConvergenceError
         If Newton fails even under continuation.
     AccuracyError
-        If the replay residual exceeds ``residual_cap``.
+        If the replay residual exceeds 1e-7 (the defect-sized mesh lands
+        it near ``_DEFECT_TARGET``; a fixed ``n_points`` may not).
     """
     t_param = float(t_param)
     if n_points is not None and not 200 <= n_points <= _MAX_NODES:
@@ -438,7 +431,7 @@ def solve_pi2(
 
     u4 = rhs(x, y)[:, 3]
     resid = _replay_residual(x, y[:, 3], u4) / 240.0
-    if resid > residual_cap:
+    if resid > 1e-7:
         raise AccuracyError(f"PI2 replay residual {resid:.2e} above tolerance")
     tail = pi2_asymptote(np.array([-big_l, big_l]), t_param)
     mismatch = float(max(abs(y[0, 0] - tail[0]), abs(y[-1, 0] - tail[1])))
@@ -509,13 +502,6 @@ class HMGrid:
     q_prime: np.ndarray
     residual_norm: float
 
-    @property
-    def S(self) -> float:
-        return float(self.s_grid[-1])
-
-    def eval(self, s):
-        return eval_hm(self, s)
-
 
 def solve_hastings_mcleod(big_s: float = 10.0, n_points: int = 4001) -> HMGrid:
     """Positive connecting solution with q(-S) = sqrt(S/2), q(S) = Ai(S).
@@ -561,27 +547,28 @@ def _hm_tail(s: np.ndarray) -> np.ndarray:
     return np.where(s > 0.0, sspecial.airy(s)[0], np.sqrt(np.abs(s) / 2.0))
 
 
-@lru_cache(maxsize=4)
-def default_hm_grid(big_s: float = 10.0, n_points: int = 4001) -> HMGrid:
-    return solve_hastings_mcleod(big_s, n_points)
+@lru_cache(maxsize=1)
+def default_hm_grid() -> HMGrid:
+    """The Hastings-McLeod grid every caller shares, solved once."""
+    return solve_hastings_mcleod()
 
 
 # ----------------------------------------------------------------------
 # shooting routes (independent of the collocation path)
 # ----------------------------------------------------------------------
 
-def hm_center_by_shooting(s_right: float = 8.0) -> float:
+def hm_center_by_shooting() -> float:
     """q(0) of the Hastings-McLeod solution by one backward IVP.
 
     The solution decays like Ai, so it starts from q = Ai, q' = Ai' at
-    s_right (the cubic term is O(Ai^3), below 1e-21 at s = 8) and runs
+    s = 8 (the cubic term is O(Ai^3), below 1e-21 there) and runs
     DOP853 back to 0.  Backward, the Bi component of any error decays,
     so the run is stable.
     """
     sol = solve_ivp(
         lambda s, y: [y[1], s * y[0] + 2.0 * y[0] ** 3],
-        (s_right, 0.0),
-        [airy(s_right), airy_d(s_right)],
+        (8.0, 0.0),
+        [airy(8.0), airy_d(8.0)],
         method="DOP853",
         rtol=1e-12,
         atol=1e-20,
@@ -591,9 +578,7 @@ def hm_center_by_shooting(s_right: float = 8.0) -> float:
     return float(sol.y[0, -1])
 
 
-def pi2_center_by_shooting(
-    x_left: float = -10.0, x_right: float = 3.2, n_segments_start: int = 10
-) -> float:
+def pi2_center_by_shooting() -> float:
     """U(0, 0) by multiple shooting, matched across interior nodes.
 
     Both-end single shooting cannot cross the exponential dichotomy of
@@ -603,8 +588,8 @@ def pi2_center_by_shooting(
     continuity plus the two-term tail values of (U, U') at both ends.
 
     Left-end data errors decay inward only at the slow oscillatory rate,
-    so after converging on a short symmetric domain the left end is walked
-    out to ``x_left`` one segment at a time, each new interface state
+    so after converging on [-3.2, 3.2] in ten segments the left end is
+    walked out to -10 one segment at a time, each new interface state
     seeded by backward integration of the converged solution.  Each
     segment's IVP carries the 4 x 4 fundamental matrix of the linearized
     equation (20 ODEs), which gives that segment's transition block of
@@ -693,8 +678,7 @@ def pi2_center_by_shooting(
         raise ConvergenceError(f"multiple shooting stalled at residual {norm:.2e}")
 
     # stage 1: symmetric short domain where the dispersionless seed converges
-    l0 = min(x_right, 3.2)
-    nodes = list(np.linspace(-l0, x_right, n_segments_start + 1))
+    nodes = list(np.linspace(-3.2, 3.2, 11))
     arr = np.asarray(nodes)
     safe = np.where(np.abs(arr) < 0.4, 0.4 * np.sign(arr) + (arr == 0.0), arr)
     states = np.stack(
@@ -710,8 +694,8 @@ def pi2_center_by_shooting(
 
     # stage 2: walk the left end outwards, one backward-seeded segment at a time
     seg = 0.68
-    while nodes[0] > x_left + 1e-9:
-        new_left = max(x_left, nodes[0] - seg)
+    while nodes[0] > -10.0 + 1e-9:
+        new_left = max(-10.0, nodes[0] - seg)
         seed_state, _ = propagate(nodes[0], new_left, states[0])
         nodes.insert(0, new_left)
         states = np.vstack([seed_state, states])

@@ -72,21 +72,16 @@ def field_eval(f: QuarticField, s) -> tuple:
 
 @dataclass(frozen=True)
 class EquilibriumMeasure:
-    """One-cut (or, in principle, multi-cut) equilibrium measure.
+    """One-cut equilibrium measure.
 
-    density(s) = (1/2 pi) sqrt((s-a)(b-s)) * h(s) on each interval, with h
-    stored as ascending polynomial coefficients; ``ell`` is the Lagrange
-    constant of the variational equality.
+    density(s) = (1/2 pi) sqrt((s-a)(b-s)) * h(s) on the support (a, b),
+    with h stored as ascending polynomial coefficients; ``ell`` is the
+    Lagrange constant of the variational equality.
     """
 
-    intervals: tuple
+    support: tuple
     h_coeffs: np.ndarray
     ell: float
-    label: str = ""
-
-    @property
-    def support(self) -> tuple:
-        return self.intervals[0]
 
     def h(self, s):
         return np.polynomial.polynomial.polyval(s, self.h_coeffs)
@@ -118,10 +113,10 @@ class SingularityReport:
     margins: dict = dc_field(default_factory=dict)
 
 
-def _lagrange_constant(intervals, h_coeffs, vfun) -> float:
-    a, b = intervals[0]
+def _lagrange_constant(support, h_coeffs, vfun) -> float:
+    a, b = support
     mid = 0.5 * (a + b)
-    mu = EquilibriumMeasure(intervals=intervals, h_coeffs=h_coeffs, ell=0.0)
+    mu = EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=0.0)
     return 2.0 * log_potential(mu, mid) - float(vfun(mid))
 
 
@@ -131,11 +126,11 @@ def measure_gaussian(x: float) -> EquilibriumMeasure:
     Support [-2 e^{-x/2}, 2 e^{-x/2}], density (e^x / 2 pi) sqrt(4 e^{-x} - s^2).
     """
     half = 2.0 * math.exp(-x / 2.0)
-    intervals = ((-half, half),)
+    support = (-half, half)
     h_coeffs = np.array([math.exp(x)])
     f = QuarticField(x=x, t=0.0)
-    ell = _lagrange_constant(intervals, h_coeffs, lambda s: field_eval(f, s)[0])
-    return EquilibriumMeasure(intervals=intervals, h_coeffs=h_coeffs, ell=ell, label=f"gaussian(x={x})")
+    ell = _lagrange_constant(support, h_coeffs, lambda s: field_eval(f, s)[0])
+    return EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=ell)
 
 
 def measure_line_t(t: float) -> EquilibriumMeasure:
@@ -152,10 +147,10 @@ def measure_line_t(t: float) -> EquilibriumMeasure:
     g2 = 5.0 / t - 5.0
     denom = 5.0 + g2
     h_coeffs = np.array([(4.0 + g2) / denom, -4.0 / denom, 1.0 / denom])
-    intervals = ((-2.0, 2.0),)
+    support = (-2.0, 2.0)
     f = QuarticField(x=0.0, t=t)
-    ell = _lagrange_constant(intervals, h_coeffs, lambda s: field_eval(f, s)[0])
-    return EquilibriumMeasure(intervals=intervals, h_coeffs=h_coeffs, ell=ell, label=f"line(t={t})")
+    ell = _lagrange_constant(support, h_coeffs, lambda s: field_eval(f, s)[0])
+    return EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=ell)
 
 
 def t9_halfwidth(x: float) -> float:
@@ -189,10 +184,10 @@ def measure_t9(x: float) -> EquilibriumMeasure:
     pref = 16.0 / (b * b * (b * b + 4.0 * c_off))
     # h(s) = pref ((s - s*)^2 + C) in ascending coefficients
     h_coeffs = pref * np.array([s_star**2 + c_off, -2.0 * s_star, 1.0])
-    intervals = ((s_star - b, s_star + b),)
+    support = (s_star - b, s_star + b)
     f = QuarticField(x=x, t=9.0)
-    ell = _lagrange_constant(intervals, h_coeffs, lambda s: field_eval(f, s)[0])
-    return EquilibriumMeasure(intervals=intervals, h_coeffs=h_coeffs, ell=ell, label=f"t9(x={x})")
+    ell = _lagrange_constant(support, h_coeffs, lambda s: field_eval(f, s)[0])
+    return EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=ell)
 
 
 def log_potential(mu: EquilibriumMeasure, s):
@@ -342,16 +337,16 @@ def _build_h(f: QuarticField, a: float, b: float) -> np.ndarray:
     return h
 
 
-def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[float, float]:
-    """Support endpoints (a, b) of the one-cut equilibrium measure.
+def make_onecut_measure(f: QuarticField, seed: tuple | None = None) -> EquilibriumMeasure:
+    """The one-cut equilibrium measure of the field ``f``.
 
-    Newton on (center, log half-width) from ``seed`` if given, then from
-    the best starts of a coarse grid scan; the result is cross-checked by
-    rebuilding the density and verifying unit mass and nonnegativity.
-    The first start whose measure also meets the exterior variational
-    inequality wins (a two-well field has a valid-looking one-cut
-    candidate in each well); when none does, the first one that passes
-    the density checks is returned.
+    Newton on (center, log half-width) from ``seed`` (support endpoints)
+    if given, then from the best starts of a coarse grid scan; each
+    converged start's measure is built once and checked for unit mass
+    and nonnegativity.  The first measure that also meets the exterior
+    variational inequality wins (a two-well field has a valid-looking
+    one-cut candidate in each well); when none does, the first one that
+    passes the density checks is returned.
 
     Raises
     ------
@@ -362,20 +357,14 @@ def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[
         return _endpoint_conditions(f, p[0], math.exp(p[1]))
 
     def validate(c, w):
-        a, b = c - w, c + w
-        h = _build_h(f, a, b)
-        rule = gauss_jacobi_rule(24, 0.5, 0.5)
-        s = c + w * rule.nodes
-        mass = w * w * float(
-            np.dot(rule.weights, np.polynomial.polynomial.polyval(s, h))
-        ) / (2.0 * math.pi)
+        mu = _onecut_measure(f, c - w, c + w)
+        mass = mu.mass()
         if abs(mass - 1.0) > 1e-8:
             raise NotOneCutError(f"rebuilt density has mass {mass:.6f}, not 1")
-        dense = c + w * np.cos(np.linspace(0.0, math.pi, 801))
-        h_vals = np.polynomial.polynomial.polyval(dense, h)
+        h_vals = mu.h(c + w * np.cos(np.linspace(0.0, math.pi, 801)))
         if np.min(h_vals) < -1e-10 * max(1.0, float(np.max(np.abs(h_vals)))):
             raise NotOneCutError("rebuilt density is negative inside the support")
-        return a, b
+        return mu
 
     def starts():
         if seed is not None:
@@ -393,14 +382,13 @@ def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[
                 np.array([c0, lw0]),
                 RootConfig(abs_tol=1e-12, max_iter=80, bracket=box),
             )
-            c, w = float(res.x[0]), math.exp(float(res.x[1]))
-            a, b = validate(c, w)
+            mu = validate(float(res.x[0]), math.exp(float(res.x[1])))
         except (ConvergenceError, NotOneCutError) as exc:
             last_error = exc
             continue
-        if _variational_check(_onecut_measure(f, a, b), f)[1] >= 0.0:
-            return a, b
-        first_valid = first_valid or (a, b)
+        if _variational_check(mu, f)[1] >= 0.0:
+            return mu
+        first_valid = first_valid or mu
     if first_valid is not None:
         return first_valid
     raise NotOneCutError(
@@ -410,25 +398,23 @@ def solve_onecut_endpoints(f: QuarticField, seed: tuple | None = None) -> tuple[
 
 def _onecut_measure(f: QuarticField, a: float, b: float) -> EquilibriumMeasure:
     h = _build_h(f, a, b)
-    ell = _lagrange_constant(((a, b),), h, lambda s: field_eval(f, s)[0])
-    return EquilibriumMeasure(intervals=((a, b),), h_coeffs=h, ell=ell, label=f"onecut(x={f.x},t={f.t})")
+    ell = _lagrange_constant((a, b), h, lambda s: field_eval(f, s)[0])
+    return EquilibriumMeasure(support=(a, b), h_coeffs=h, ell=ell)
 
 
-def make_onecut_measure(f: QuarticField, seed: tuple | None = None) -> EquilibriumMeasure:
-    """Solve the endpoints and assemble the full one-cut measure."""
-    return _onecut_measure(f, *solve_onecut_endpoints(f, seed=seed))
+def solve_onecut_endpoints(f: QuarticField) -> tuple[float, float]:
+    """Support endpoints (a, b) of the one-cut equilibrium measure."""
+    return make_onecut_measure(f).support
 
 
-def classify(
-    mu: EquilibriumMeasure, f: QuarticField, tol: float = 1e-6, check_exterior: bool = True
-) -> SingularityReport:
+def classify(mu: EquilibriumMeasure, f: QuarticField, check_exterior: bool = True) -> SingularityReport:
     """Singularity type of the measure/field pair.
 
     exterior_I: the variational inequality saturates at an exterior point;
     interior_II: h vanishes strictly inside the support;
     edge_III: h vanishes at an endpoint.  Margins are normalized by the
-    peak of |h| on the support; ties report the smaller margin and set
-    the ambiguity flag.
+    peak of |h| on the support, and a margin under 1e-6 triggers its
+    type; ties report the smaller margin and set the ambiguity flag.
     """
     a, b = mu.support
     dense = np.linspace(a, b, 2001)
@@ -450,7 +436,7 @@ def classify(
     if check_exterior:
         _, margins["exterior_I"], locations["exterior_I"] = _variational_check(mu, f)
 
-    triggered = {k: m for k, m in margins.items() if m < tol}
+    triggered = {k: m for k, m in margins.items() if m < 1e-6}
     if not triggered:
         worst = min(margins, key=margins.get)
         return SingularityReport(
@@ -466,7 +452,7 @@ def classify(
     )
 
 
-def rmt_phase_diagram(x_grid, t_grid, classify_tol: float = 1e-6) -> list[dict]:
+def rmt_phase_diagram(x_grid, t_grid) -> list[dict]:
     """One-cut classification sweep over an (x, t) grid.
 
     Solver failures are recorded per cell (class ``failed``) and never
@@ -482,7 +468,7 @@ def rmt_phase_diagram(x_grid, t_grid, classify_tol: float = 1e-6) -> list[dict]:
             try:
                 mu = make_onecut_measure(f, seed=seed)
                 seed = mu.support
-                rep = classify(mu, f, tol=classify_tol)
+                rep = classify(mu, f)
                 row["class"] = rep.kind
                 row["margin"] = min(rep.margins.values())
             except (NotOneCutError, ConvergenceError, DomainError) as exc:

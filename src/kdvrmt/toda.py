@@ -287,14 +287,14 @@ def state_from_hodograph(v0_coeffs, t: float, eps: float, n_max: int) -> TodaSta
     return TodaState(eps=eps, gamma=gamma, beta=beta, times={1: t})
 
 
-def continuum_residual(state: TodaState, interior_margin: float = 0.12) -> float:
+def continuum_residual(state: TodaState) -> float:
     """Defect of the first-order continuum truncation on smooth interpolants.
 
     The lattice right-hand sides (v_n - v_{n-1})/eps and
     (e^{u_{n+1}} - e^{u_n})/eps are compared against v_x - (eps/2) v_xx
     and e^u u_x + (eps/2)(e^u)_xx evaluated by differentiating cubic
     splines through the lattice data; for smooth profiles the defect is
-    O(eps^2).  Nodes within ``interior_margin`` of either truncation end
+    O(eps^2).  Nodes within 12% of the lattice of either truncation end
     are excluded.
     """
     eps = state.eps
@@ -307,8 +307,8 @@ def continuum_residual(state: TodaState, interior_margin: float = 0.12) -> float
     spl_u = CubicSpline(x_u, u)
     spl_eu = CubicSpline(x_u, np.exp(u))
 
-    lo = max(2, int(interior_margin * m))
-    hi = m - max(2, int(interior_margin * m))
+    lo = max(2, int(0.12 * m))
+    hi = m - max(2, int(0.12 * m))
     worst = 0.0
     for n in range(lo, hi):  # n <= m-1, so u[n] = u_{n+1} is in range
         x = eps * n
@@ -334,9 +334,7 @@ class CatastropheData:
     c4: float
 
 
-def catastrophe_constants(
-    v0_coeffs, seed=None, gap_min: float = 0.2, family: str = "plus"
-) -> CatastropheData:
+def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
     """Locate the hodograph gradient catastrophe and its cubic-normal-form constants.
 
     ``family`` selects which Riemann invariant suffers the first breaking
@@ -347,8 +345,8 @@ def catastrophe_constants(
     d3f/dr^3 = 0, closed by the consistency of the two hodograph branches.
     The system always has a degenerate family on the diagonal r_+ = r_-
     (interval collapse), so the Newton runs in a (r, log gap) chart
-    seeded by a gap-constrained grid scan; landing back on the diagonal
-    is reported as non-generic.  c4 reduces to 1/96 identically because
+    seeded by a grid scan over gaps of at least 0.2; landing back under
+    half that gap is reported as non-generic.  c4 reduces to 1/96 identically because
     (r_+ - r_-)/(lambda_- - lambda_+) = 2.
     """
     if family not in ("plus", "minus"):
@@ -415,20 +413,18 @@ def catastrophe_constants(
             ]
         )
 
-    if seed is None:
-        best = None
-        for rp0 in np.linspace(-8.0, 8.0, 161):
-            for rm0 in np.linspace(-8.0, rp0 - gap_min, 80):
-                if t_of(rp0, rm0) <= 1e-3:
-                    continue
-                g = gfun((rp0, math.log(rp0 - rm0)))
-                score = abs(g[0]) + abs(g[1])
-                if best is None or score < best[0]:
-                    best = (score, rp0, rm0)
-        if best is None:
-            raise GenericityError("no catastrophe candidate with t_c > 0 in the scan box")
-        seed = np.array([best[1], best[2]])
-    w0 = np.array([seed[0], math.log(seed[0] - seed[1])])
+    best = None
+    for rp0 in np.linspace(-8.0, 8.0, 161):
+        for rm0 in np.linspace(-8.0, rp0 - 0.2, 80):
+            if t_of(rp0, rm0) <= 1e-3:
+                continue
+            g = gfun((rp0, math.log(rp0 - rm0)))
+            score = abs(g[0]) + abs(g[1])
+            if best is None or score < best[0]:
+                best = (score, rp0, rm0)
+    if best is None:
+        raise GenericityError("no catastrophe candidate with t_c > 0 in the scan box")
+    w0 = np.array([best[1], math.log(best[1] - best[2])])
     try:
         res = newton_solve(gfun, w0, RootConfig(abs_tol=1e-10, max_iter=80), jac=gjac)
     except ConvergenceError as exc:
@@ -437,7 +433,7 @@ def catastrophe_constants(
         ) from exc
     rp = float(res.x[0])
     rm = rp - math.exp(float(res.x[1]))
-    if rp - rm < 0.5 * gap_min:
+    if rp - rm < 0.1:
         raise GenericityError(
             "catastrophe solve collapsed onto the degenerate diagonal r_+ = r_-"
         )

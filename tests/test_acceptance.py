@@ -155,9 +155,9 @@ def test_criterion_06_hastings_mcleod():
 @pytest.fixture(scope="module")
 def pi2_wide_tail():
     # one wide solve shared by the tail-window clause and its companion:
-    # the mismatch being fitted (>= 1e-5) sits far above the relaxed
-    # node-error cap
-    return painleve.solve_pi2(1.0, 400.0, residual_cap=1e-6)
+    # the mismatch being fitted (>= 1e-5) sits far above the 1e-7
+    # replay-residual cap
+    return painleve.solve_pi2(1.0, 400.0)
 
 
 def test_criterion_07_pi2():
@@ -258,7 +258,6 @@ def test_criterion_09_leading_edge_universality(sech2):
     t0 = time.time()
     t = 0.25
     edge = kdv_asym.solve_leading_edge(t, sech2)
-    hm = painleve.default_hm_grid()
     errs = {}
     wavelength_ok = False
     for eps in (0.1, 0.06):
@@ -267,7 +266,7 @@ def test_criterion_09_leading_edge_universality(sech2):
         xs = np.linspace(edge.x_edge - width, edge.x_edge + width, 401)
         direct = kdv_direct.probe(field, xs)
         approx = np.array(
-            [kdv_asym.leading_edge_approx(x, t, eps, edge, sech2, hm_grid=hm) for x in xs]
+            [kdv_asym.leading_edge_approx(x, t, eps, edge, sech2) for x in xs]
         )
         errs[eps] = float(np.max(np.abs(direct - approx)))
         if eps == 0.06:
@@ -296,14 +295,13 @@ def test_leading_edge_in_regime(sech2):
     # near-edge wavelength matches the phase prediction within 10%
     t = 0.4
     edge = kdv_asym.solve_leading_edge(t, sech2)
-    hm = painleve.default_hm_grid()
     errs = []
     for eps in (0.1, 0.06):
         field = kdv_direct.solve_kdv(sech2, eps=eps, t_final=t)
         xs = np.linspace(edge.x_edge - 0.2, edge.x_edge + 0.4, 401)
         direct = kdv_direct.probe(field, xs)
         approx = np.array(
-            [kdv_asym.leading_edge_approx(x, t, eps, edge, sech2, hm_grid=hm) for x in xs]
+            [kdv_asym.leading_edge_approx(x, t, eps, edge, sech2) for x in xs]
         )
         errs.append(float(np.max(np.abs(direct - approx))))
     assert errs[0] > errs[1]

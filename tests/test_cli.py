@@ -222,6 +222,16 @@ def test_unknown_config_key_rejected(tmp_path, command, key, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_jobs_rejected_where_serial(tmp_path, capsys):
+    # only kdv-compare runs its eps list on threads; elsewhere --jobs K > 1
+    # would be ignored, so it is refused before anything runs
+    for command in ("kdv-phase", "rmt-phase", "op-table", "toda-run"):
+        out = tmp_path / command
+        assert cli.main([command, "--jobs", "2", "--out", str(out)]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         import subprocess, sys

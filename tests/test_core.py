@@ -158,13 +158,13 @@ class TestQuadratureRules:
 
 class TestNewtonSolve:
     def test_square_root(self):
-        res = core.newton_solve(lambda x: x * x - 4.0, 3.0)
-        assert res.x == pytest.approx(2.0, abs=1e-12)
+        res = core.newton_solve(lambda x: x * x - 4.0, np.array([3.0]))
+        assert res.x[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_iterations_at_root(self):
-        res = core.newton_solve(lambda x: x, 0.0)
+        res = core.newton_solve(lambda x: x, np.array([0.0]))
         assert res.iterations == 0
-        assert res.x == 0.0
+        assert res.x[0] == 0.0
 
     def test_linear_system(self):
         res = core.newton_solve(
@@ -182,7 +182,7 @@ class TestNewtonSolve:
     def test_nonconvergence_carries_iterate(self):
         cfg = core.RootConfig(abs_tol=1e-15, max_iter=3)
         with pytest.raises(ConvergenceError) as err:
-            core.newton_solve(lambda x: math.exp(x) + 1.0, 0.0, cfg)  # no root
+            core.newton_solve(lambda x: np.exp(x) + 1.0, np.array([0.0]), cfg)  # no root
         assert err.value.last_iterate is not None
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -217,9 +218,9 @@ class TestCatastropheExpansion:
         eps = 0.05
         t = cp.t_c + 0.01
         x = cp.x_c + 6.0 * cp.u_c * (t - cp.t_c)
-        val = kdv_asym.catastrophe_approx(x, t, eps, cp, pi2_kwargs={"big_l": 30.0})
+        val = kdv_asym.catastrophe_approx(x, t, eps, cp)
         big_t = 6.0 * (t - cp.t_c) / (4.0 * cp.k**3 * eps**4) ** (1.0 / 7.0)
-        sol = painleve.pi2_solution_cached(big_t, 30.0)
+        sol = painleve.pi2_solution_cached(big_t)
         expected = cp.u_c + (2.0 * eps**2 / cp.k**2) ** (1.0 / 7.0) * painleve.eval_pi2(sol, 0.0)
         assert val == pytest.approx(expected, abs=1e-12)
 
@@ -227,8 +228,8 @@ class TestCatastropheExpansion:
         eps = 0.05
         t = cp.t_c
         dx = 0.3 * (8.0 * cp.k * eps**6) ** (1.0 / 7.0)
-        sol = painleve.pi2_solution_cached(0.0, 30.0)
-        v1 = kdv_asym.catastrophe_approx(cp.x_c + dx, t, eps, cp, pi2_kwargs={"big_l": 30.0})
+        sol = painleve.pi2_solution_cached(0.0)
+        v1 = kdv_asym.catastrophe_approx(cp.x_c + dx, t, eps, cp)
         amp = (2.0 * eps**2 / cp.k**2) ** (1.0 / 7.0)
         expected = cp.u_c + amp * painleve.eval_pi2(sol, 0.3)
         assert v1 == pytest.approx(expected, abs=1e-12)
@@ -236,7 +237,7 @@ class TestCatastropheExpansion:
     def test_center_value_from_oracle(self, cp):
         # frozen through the independent shooting value U(0,0)
         eps = 0.05
-        val = kdv_asym.catastrophe_approx(cp.x_c, cp.t_c, eps, cp, pi2_kwargs={"big_l": 30.0})
+        val = kdv_asym.catastrophe_approx(cp.x_c, cp.t_c, eps, cp)
         u00 = -0.4151721005
         amp = (2.0 * eps**2 / cp.k**2) ** (1.0 / 7.0)
         assert val == pytest.approx(cp.u_c + amp * u00, abs=1e-7)
@@ -277,6 +278,17 @@ class TestLeadingEdgeExpansion:
     def test_wrong_edge_kind_rejected(self, data, trail):
         with pytest.raises(DomainError):
             kdv_asym.leading_edge_approx(0.0, 0.25, 0.05, trail, data)
+
+    def test_unresolved_phase_integral_raises(self, data, lead):
+        # a jump in f_L' inside [v, u] moves the phase integral by 1e-4
+        # per node doubling: the guard refuses it instead of returning
+        # the 96-node value
+        mid = 0.5 * (lead.u + lead.v)
+        jump = dataclasses.replace(
+            data, f_L_prime=lambda xi: np.where(np.asarray(xi) < mid, -1.0, -2.0)
+        )
+        with pytest.raises(AccuracyError, match="phase integral"):
+            kdv_asym.leading_edge_phase(lead.x_edge, 0.25, lead, jump)
 
 
 class TestTrailingEdgeExpansion:

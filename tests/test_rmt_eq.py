@@ -213,7 +213,7 @@ class TestPhaseDiagram:
         assert by_x[0.7]["class"] == "failed"
 
     def test_cell_0_1_is_edge_singular(self):
-        rows = rmt_eq.rmt_phase_diagram([0.0], [1.0], classify_tol=1e-6)
+        rows = rmt_eq.rmt_phase_diagram([0.0], [1.0])
         assert rows[0]["class"] == "edge_III"
 
     def test_failed_seed_falls_back_to_scan(self):
