@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq, minimize_scalar
 
 from .core import gauss_jacobi_rule
 from .errors import AccuracyError, AmbiguityError, ConvergenceError, DomainError, GenericityError
@@ -139,6 +137,8 @@ def make_tabulated_data(x: np.ndarray, u: np.ndarray) -> InitialData:
     derivatives of that interpolant, which is the honest accuracy level
     for sampled data.
     """
+    from scipy.interpolate import PchipInterpolator
+
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if x.ndim != 1 or x.shape != u.shape or x.size < 8:
@@ -190,6 +190,8 @@ def hopf_solve(x: float, t: float, data: InitialData) -> float:
     uniqueness past the catastrophe time; multiple branches raise
     AmbiguityError carrying all of them.
     """
+    from scipy.optimize import brentq
+
     x = float(x)
     t = float(t)
     if t < 0.0:
@@ -235,6 +237,8 @@ def breaking_point(data: InitialData) -> CatastrophePoint:
     derivative of -6 u0' at the maximizer is below 1e-6 in absolute
     value (flat maximum).
     """
+    from scipy.optimize import minimize_scalar
+
     h = data.domain_halfwidth
 
     def slope(xi):

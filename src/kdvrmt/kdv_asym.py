@@ -203,7 +203,10 @@ def _solve_edge(
         w = _edge_seed(kind, t_start, cp)
     n_steps = max(1, int(math.ceil((t - t_start) / 0.01)))
     t_path = list(np.linspace(t_start, t, n_steps + 1))
-    half = 0
+    # a step halved twelve times ends the window, also when each halving
+    # succeeds once and the next full step fails again (the path would
+    # otherwise creep towards the fold without end)
+    min_step = 1.5 * (t_path[1] - t_path[0]) / 2**12
     i = 0
     while i < len(t_path):
         t_i = t_path[i]
@@ -214,12 +217,10 @@ def _solve_edge(
                 raise ConvergenceError(f"{kind}-edge gap collapsed onto v = u at t = {t_i:.6f}")
             w = np.asarray(res.x)
             i += 1
-            half = 0
         except (ConvergenceError, DomainError, AccuracyError):
             if i == 0:  # the start point itself fails: nothing to bisect
                 raise
-            half += 1
-            if half > 12:
+            if t_i - t_path[i - 1] < min_step:
                 raise ConvergenceError(
                     f"{kind}-edge continuation failed near t = {t_i:.6f} "
                     "(end of the validity window)",

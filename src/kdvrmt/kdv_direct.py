@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import DomainError, ResolutionError, StabilityError
 from .hopf import InitialData
@@ -133,6 +132,8 @@ def solve_kdv(
         On blow-up (non-finite or runaway amplitude), or when the step
         budget runs out.
     """
+    from scipy import fft as sfft
+
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     if eps < 0.02:
@@ -244,6 +245,8 @@ def solve_kdv(
 
 def probe(field: KdVField, x) -> float | np.ndarray:
     """Band-limited (trigonometric) interpolation of the field at x."""
+    from scipy import fft as sfft
+
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x_arr < -field.P) or np.any(x_arr > field.P):
         raise DomainError("probe point outside the periodic domain")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import painleve, rmt_eq
 from .core import gauss_jacobi_rule, sech2_train
@@ -247,6 +246,8 @@ class InteriorCriticalData:
 
 def interior_critical_data_t9() -> InteriorCriticalData:
     """Critical data of the symmetric-line interior singular point."""
+    from scipy.integrate import quad
+
     mu = rmt_eq.measure_t9(X_STAR)
     a, b = mu.support
     big_c = float(mu.h_coeffs[2]) / (2.0 * math.pi)

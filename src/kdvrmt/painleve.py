@@ -30,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special as sspecial
-from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from .core import airy, airy_d
@@ -59,7 +58,7 @@ _SIXTH23 = 6.0 ** (2.0 / 3.0)
 # shared MIRK4 collocation core
 # ----------------------------------------------------------------------
 
-def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11, max_iter=40):
+def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11):
     """Damped Newton on the 3-stage Lobatto-IIIA collocation equations.
 
     ``x``: mesh (M+1,), ``y0``: initial iterate (M+1, m).  ``left`` and
@@ -115,7 +114,7 @@ def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11, max_iter=40):
 
     res, parts = residual(y)
     norm = np.max(np.abs(res))
-    for _ in range(max_iter):
+    for _ in range(40):
         if norm <= tol:
             return y
         f_lo, f_hi, f_mid, y_mid, x_mid = parts
@@ -565,6 +564,8 @@ def hm_center_by_shooting() -> float:
     DOP853 back to 0.  Backward, the Bi component of any error decays,
     so the run is stable.
     """
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda s, y: [y[1], s * y[0] + 2.0 * y[0] ** 3],
         (8.0, 0.0),
@@ -596,6 +597,8 @@ def pi2_center_by_shooting() -> float:
     the Newton Jacobian.  Completely independent of the collocation path:
     IVP integrations plus small dense Newton solves.
     """
+    from scipy.integrate import solve_ivp
+
     t_param = 0.0
 
     def rhs(x, y):

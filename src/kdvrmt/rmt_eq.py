@@ -223,7 +223,7 @@ def log_potential(mu: EquilibriumMeasure, s):
     return float(out) if out.ndim == 0 else out
 
 
-def _default_probes(mu: EquilibriumMeasure, f: QuarticField | None = None):
+def _default_probes(mu: EquilibriumMeasure, f: QuarticField):
     a, b = mu.support
     w = b - a
     pad = 0.04 * w
@@ -234,13 +234,12 @@ def _default_probes(mu: EquilibriumMeasure, f: QuarticField | None = None):
     # exterior scan must reach past every real critical point of V (a
     # single-well candidate measure looks locally valid otherwise)
     lo, hi = a - 2.0 * w, b + 2.0 * w
-    if f is not None:
-        vp = np.polynomial.polynomial.polyder(field_coeffs(f))
-        roots = np.roots(vp[::-1]) if len(vp) > 1 else np.array([])
-        real = roots[np.abs(roots.imag) < 1e-9].real
-        if real.size:
-            lo = min(lo, float(np.min(real)) - 0.5 * w)
-            hi = max(hi, float(np.max(real)) + 0.5 * w)
+    vp = np.polynomial.polynomial.polyder(field_coeffs(f))
+    roots = np.roots(vp[::-1]) if len(vp) > 1 else np.array([])
+    real = roots[np.abs(roots.imag) < 1e-9].real
+    if real.size:
+        lo = min(lo, float(np.min(real)) - 0.5 * w)
+        hi = max(hi, float(np.max(real)) + 0.5 * w)
     grid = np.linspace(lo, hi, 33)
     exterior = grid[(grid < a - 0.05 * w) | (grid > b + 0.05 * w)]
     return interior, exterior

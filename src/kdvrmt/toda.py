@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import RootConfig, newton_solve
 from .errors import CatastropheError, ConvergenceError, DomainError, GenericityError
@@ -297,6 +296,8 @@ def continuum_residual(state: TodaState) -> float:
     O(eps^2).  Nodes within 12% of the lattice of either truncation end
     are excluded.
     """
+    from scipy.interpolate import CubicSpline
+
     eps = state.eps
     m = state.n_max
     x_u = eps * np.arange(1, m + 1)  # u_n lives at n = 1..m

@@ -56,6 +56,26 @@ class TestKdvPhase:
         lines = (tmp_path / "kdv_phase.csv").read_text().strip().splitlines()
         assert lines == ["t,x_minus,x_plus"]
 
+    def test_sampled_csv_data(self, tmp_path):
+        # a sech2 profile sampled on 401 points, read through csv:PATH;
+        # the theta quadrature cannot resolve the piecewise-cubic f_L', so
+        # every row is marked, while t_c = sqrt(3)/8 holds to the pchip
+        # slope error O(h^2)
+        import math
+
+        import numpy as np
+
+        from kdvrmt import hopf
+
+        xs = np.linspace(-15.0, 15.0, 401)
+        path = tmp_path / "profile.csv"
+        np.savetxt(path, np.column_stack([xs, hopf.make_sech2_data().u0(xs)]), delimiter=",")
+        cfg = write_config(tmp_path / "c.cfg", f"initial_data = csv:{path}\nt_grid = 0.25\n")
+        assert cli.main(["kdv-phase", "--config", cfg, "--out", str(tmp_path)]) == 2
+        doc = json.loads((tmp_path / "kdv_phase.json").read_text())
+        assert doc["failed_rows"] == doc["rows"] == 1
+        assert doc["t_c"] == pytest.approx(math.sqrt(3.0) / 8.0, abs=(xs[1] - xs[0]) ** 2)
+
     def test_partial_failure_exit_code(self, tmp_path):
         # 0.5 is beyond the trailing validity window: row marked, exit 2
         cfg = write_config(tmp_path / "c.cfg", "t_grid = 0.25, 0.5\n")
@@ -243,11 +263,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
 
-    def test_import_does_not_load_mpmath(self):
+    # scipy subpackages that only some paths need load at first use; the
+    # rmt side (rmt-phase, an edge op-table, toda-run) reaches none of them
+    DEFERRED = ("mpmath", "scipy.optimize", "scipy.interpolate", "scipy.integrate", "scipy.fft")
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            (None, ""),
+            ("rmt-phase", "x_grid = 0.0\nt_grid = 1.0\n"),
+            ("op-table", "which = edge\nx = 1.0\nt = 1.0\nn_range = 8\n"),
+            ("toda-run", "N = 12\nn_max = 12\nflow_k = 1\ndt = 0.002\nsteps = 10\n"),
+        ],
+        ids=["import", "rmt-phase", "op-table", "toda-run"],
+    )
+    def test_loads_no_deferred_subpackage(self, tmp_path, command, config):
         import subprocess, sys
 
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, kdvrmt.cli; assert 'mpmath' not in sys.modules"],
-            capture_output=True,
+        run = ""
+        if command is not None:
+            cfg = write_config(tmp_path / "c.cfg", config)
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+            run = f"assert kdvrmt.cli.main({argv!r}) == 0\n"
+        script = (
+            "import sys, kdvrmt, kdvrmt.cli\n"
+            + run
+            + f"loaded = [m for m in {self.DEFERRED!r} if m in sys.modules]\n"
+            + "assert not loaded, loaded\n"
         )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
