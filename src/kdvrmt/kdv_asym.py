@@ -15,6 +15,7 @@ import numpy as np
 from . import painleve
 from .core import (
     RootConfig,
+    _fd_jacobian,
     complete_elliptic,
     gauss_jacobi_rule,
     newton_solve,
@@ -138,14 +139,29 @@ def _leading_system(t: float, data: InitialData):
         v = u - math.exp(g)
         return np.array([6.0 * t + theta_of(v, u, data), theta_v(v, u, data)])
 
-    return fun
+    return fun, None
 
 
 def trailing_integral(u: float, v: float, t: float, data: InitialData) -> float:
     """int_u^v (6t + theta(lam; u)) sqrt(lam - u) dlam by Gauss-Jacobi.
 
     The integrand is smooth; the node-doubling guard of
-    ``_sqrt_weighted_integral`` applies.
+    ``_sqrt_weighted_integral`` applies.  Swapping the order of the lam
+    and z integrals gives the same value as one integral,
+
+        I(u, v) = int_u^v (6t + f_L'(z)) sqrt(v - z) dz,
+
+    so its partials are exact and cost no quadrature beyond theta(v; u):
+
+        dI/dv = sqrt(v - u) (6t + theta(v; u)),
+        dI/du = -sqrt(v - u) (6t + f_L'(u)).
+
+    The trailing Newton takes its Jacobian from these.  Its residual keeps
+    the nested form: the swapped integral also resolves the points near
+    u = -1 where theta(v; u) exceeds its node cap, and so solves the
+    t = 0.30 sech^2 row that the benchmark references pin as marked (the
+    reference regeneration comes first, then the swap; ROADMAP items 1
+    and 2).
     """
     if v <= u:
         raise DomainError("trailing integral needs v > u")
@@ -156,17 +172,41 @@ def trailing_integral(u: float, v: float, t: float, data: InitialData) -> float:
 
 def _trailing_system(t: float, data: InitialData):
     # same log-gap chart with v = u + e^g; the weighted integral is
-    # normalized by ((v-u)/2)^{3/2}, which removes its trivial zero on
-    # the diagonal and keeps the equation O(1)-scaled
+    # normalized by s = ((v-u)/2)^{3/2}, which removes its trivial zero on
+    # the diagonal and keeps the equation O(1)-scaled.  The Jacobian
+    # differences only the first row (four scalar theta values; theta_v
+    # hits its node cap before theta does near u = -1) and takes the
+    # second from the exact partials of trailing_integral, reusing the
+    # residual of the same iterate
+    last = (None, 0.0, 0.0)  # (w, F1, F2) of the latest residual
+
+    def first(w):
+        return 6.0 * t + theta_of(w[0] + math.exp(w[1]), w[0], data)
+
     def fun(w):
+        nonlocal last
         u, g = w
         v = u + math.exp(g)
         scale = (0.5 * (v - u)) ** 1.5
-        return np.array(
-            [6.0 * t + theta_of(v, u, data), trailing_integral(u, v, t, data) / scale]
-        )
+        f1 = first(w)
+        f2 = trailing_integral(u, v, t, data) / scale
+        last = (tuple(w), f1, f2)
+        return np.array([f1, f2])
 
-    return fun
+    def jac(w):
+        if last[0] != tuple(w):
+            fun(w)
+        _, f1, f2 = last
+        u, g = w
+        gap = math.exp(g)
+        root = math.sqrt(gap)
+        scale = (0.5 * gap) ** 1.5
+        i_v = root * f1
+        i_u = -root * (6.0 * t + float(data.f_L_prime(u)))
+        row1 = _fd_jacobian(first, w, np.array([f1]))[0]
+        return np.array([row1, [(i_u + i_v) / scale, gap * i_v / scale - 1.5 * f2]])
+
+    return fun, jac
 
 
 def _edge_seed(kind: str, t: float, cp: CatastrophePoint):
@@ -211,7 +251,8 @@ def _solve_edge(
     while i < len(t_path):
         t_i = t_path[i]
         try:
-            res = newton_solve(system(t_i, data), w, cfg)
+            fun, jac = system(t_i, data)
+            res = newton_solve(fun, w, cfg, jac=jac)
             # the edges open from v = u as t grows: a halved gap slid onto v = u
             if res.x[1] < w[1] - math.log(2.0):
                 raise ConvergenceError(f"{kind}-edge gap collapsed onto v = u at t = {t_i:.6f}")

@@ -179,6 +179,22 @@ class TestNewtonSolve:
         assert np.array_equal(np.atleast_1d(r1.x), np.atleast_1d(r2.x))
         assert r1.iterations == r2.iterations
 
+    def test_analytic_jacobian_replaces_differences(self):
+        points = []
+
+        def f(v):
+            points.append(v.copy())
+            return np.array([v[0] ** 2 + v[1] ** 2 - 4.0, v[0] - v[1]])
+
+        def jac(v):
+            return np.array([[2.0 * v[0], 2.0 * v[1]], [1.0, -1.0]])
+
+        res = core.newton_solve(f, np.array([1.0, 2.0]), jac=jac)
+        assert np.allclose(res.x, [math.sqrt(2.0), math.sqrt(2.0)], atol=1e-12)
+        # one residual per iterate (these steps are undamped), none for a
+        # difference Jacobian
+        assert len(points) == res.iterations + 1
+
     def test_nonconvergence_carries_iterate(self):
         cfg = core.RootConfig(abs_tol=1e-15, max_iter=3)
         with pytest.raises(ConvergenceError) as err:

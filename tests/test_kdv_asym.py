@@ -50,6 +50,43 @@ class TestEdgeSystems:
         with pytest.raises(AccuracyError):
             kdv_asym.trailing_integral(0.0, 1.0, 0.0, data)
 
+    def test_trailing_integral_partials(self, data, trail):
+        # off the edge, where 6t + theta(v; u) and so dI/dv are not zero
+        t, u, v, h = 0.25, trail.u + 0.01, trail.v - 0.03, 1e-5
+
+        def integral(a, b):
+            return kdv_asym.trailing_integral(a, b, t, data)
+
+        d_u = (integral(u + h, v) - integral(u - h, v)) / (2.0 * h)
+        d_v = (integral(u, v + h) - integral(u, v - h)) / (2.0 * h)
+        root = math.sqrt(v - u)
+        assert d_u == pytest.approx(-root * (6.0 * t + float(data.f_L_prime(u))), rel=1e-6)
+        assert d_v == pytest.approx(root * (6.0 * t + hopf.theta_of(v, u, data)), rel=1e-6)
+
+    @pytest.mark.parametrize("t", [0.25, 0.28])
+    @pytest.mark.parametrize("shift", [(0.0, 0.0), (0.01, 0.05), (0.005, -0.1)])
+    def test_trailing_jacobian_against_differences(self, data, t, shift):
+        edge = kdv_asym.solve_trailing_edge(t, data)
+        w = np.array([edge.u, math.log(edge.v - edge.u)]) + shift
+        fun, jac = kdv_asym._trailing_system(t, data)
+        exact = jac(w)
+        diff = core._fd_jacobian(fun, w, fun(w))
+        assert np.max(np.abs(exact - diff)) <= 1e-6 * np.max(np.abs(diff))
+
+    def test_trailing_solve_skips_differences_of_the_integral(self, data, monkeypatch):
+        # central differences of the full residual evaluate the nested
+        # integral four more times per iterate (122 calls in all)
+        calls = []
+        inner = kdv_asym._sqrt_weighted_integral
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(kdv_asym, "_sqrt_weighted_integral", counted)
+        kdv_asym.solve_trailing_edge(0.25, data)
+        assert len(calls) <= 40
+
     def test_leading_against_grid_scan_oracle(self, data, lead):
         u_ref, v_ref = edge_grid_scan(0.25, data, "leading")
         assert lead.u == pytest.approx(u_ref, abs=2e-4)
@@ -80,7 +117,7 @@ class TestEdgeSystems:
 
     def test_cusp_ordering(self, data, cp):
         # t <= t_c + 0.05 ~ 0.267, well inside the trailing window (the
-        # continuation solves up to ~0.2989; the branch itself ends at
+        # continuation solves up to ~0.29896; the branch itself ends at
         # t* ~ 0.3023, where u reaches the profile minimum -1)
         for dt in (0.01, 0.03, 0.05):
             t = cp.t_c + dt
@@ -116,6 +153,13 @@ class TestPhaseDiagram:
         assert rows[1]["error"] != ""
         assert math.isnan(rows[1]["x_plus"])
         assert not math.isnan(rows[1]["x_minus"])  # leading edge still fine
+
+    def test_window_end_solved_in_a_chain(self, data):
+        # the last row lies 1.6e-4 before the end of the continuation
+        # (~0.298962); a theta_v Jacobian row ends it before 0.2988
+        rows = kdv_asym.kdv_phase_diagram(data, [0.22, 0.24, 0.26, 0.28, 0.2988])
+        assert all(r["error"] == "" for r in rows)
+        assert rows[-1]["x_plus"] == pytest.approx(-1.80325884198, abs=1e-8)
 
     def test_chained_sweep_from_the_fold(self, data, cp):
         # the fold row lies before the seed point, and its gap is far too
