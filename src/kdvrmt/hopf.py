@@ -182,16 +182,28 @@ def load_initial_data_csv(path) -> InitialData:
     return make_tabulated_data(arr[:, 0], arr[:, 1])
 
 
+def _bisect(f, a: float, b: float) -> float:
+    """Sign change of ``f`` in [a, b], halved until the midpoint is an end."""
+    fa, fb = f(a), f(b)
+    while a < (m := 0.5 * (a + b)) < b:
+        fm = f(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
+
+
 def hopf_solve(x: float, t: float, data: InitialData) -> float:
     """Solve x = 6 t u0(xi) + xi for the characteristic foot point.
 
     Since -1 <= u0 < 0, the foot point lies in [x, x + 6t], which gives a
-    guaranteed bracket.  A 4096-point sign-change scan detects loss of
-    uniqueness past the catastrophe time; multiple branches raise
-    AmbiguityError carrying all of them.
+    guaranteed bracket.  A 4096-point sign-change scan, each change then
+    bisected to float resolution, detects loss of uniqueness past the
+    catastrophe time; multiple branches raise AmbiguityError with all of them.
     """
-    from scipy.optimize import brentq
-
     x = float(x)
     t = float(t)
     if t < 0.0:
@@ -200,18 +212,16 @@ def hopf_solve(x: float, t: float, data: InitialData) -> float:
         return float(data.u0(x))
 
     def g(xi):
-        return x - 6.0 * t * data.u0(xi) - xi
+        return x - 6.0 * t * float(data.u0(xi)) - xi
 
     grid = np.linspace(x - 1e-12, x + 6.0 * t + 1e-12, 4096)
     vals = x - 6.0 * t * np.asarray(data.u0(grid), dtype=float) - grid
     sign = np.sign(vals)
     crossings = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    exact = np.nonzero(vals == 0.0)[0]
-    brackets = [(grid[i], grid[i + 1]) for i in crossings]
-    roots = [float(grid[i]) for i in exact]
-    for a, b in brackets:
-        roots.append(brentq(g, a, b, xtol=1e-14, rtol=4.0 * np.finfo(float).eps))
-    roots = sorted(set(np.round(roots, 12)))
+    roots = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]
+    roots += [_bisect(g, float(grid[i]), float(grid[i + 1])) for i in crossings]
+    # dedupe on 1e-12 keys, but keep the unrounded root: it needs no polish
+    roots = sorted({round(r, 12): r for r in roots}.values())
     if len(roots) == 0:
         raise ConvergenceError("no characteristic root found in the bracket")
     if len(roots) > 1:
@@ -221,9 +231,6 @@ def hopf_solve(x: float, t: float, data: InitialData) -> float:
             branches=[float(data.u0(r)) for r in roots],
         )
     xi = roots[0]
-    # polish to the residual tolerance
-    xi = brentq(g, xi - 1e-6, xi + 1e-6, xtol=1e-15, rtol=4.0 * np.finfo(float).eps) \
-        if abs(g(xi)) > 1e-11 else xi
     if abs(g(xi)) > 1e-10:
         raise ConvergenceError(f"characteristic residual {g(xi):.2e} above tolerance")
     return float(data.u0(xi))
@@ -232,30 +239,30 @@ def hopf_solve(x: float, t: float, data: InitialData) -> float:
 def breaking_point(data: InitialData) -> CatastrophePoint:
     """First gradient catastrophe: t_c = 1 / max_xi(-6 u0'(xi)).
 
-    The maximizer is located by a grid scan plus bounded scalar
-    minimization; the catastrophe is declared non-generic if the second
-    derivative of -6 u0' at the maximizer is below 1e-6 in absolute
-    value (flat maximum).
+    A grid scan brackets the maximizer.  On the decreasing branch
+    d(-6 u0')/dxi = 6 f_L''(u0(xi)) / f_L'^3, so the maximizer is the sign
+    change of f_L''(u0(xi)) in that bracket, bisected to float resolution.
+    The catastrophe is declared non-generic if f_L'' keeps its sign there,
+    or if the second derivative of -6 u0' at the maximizer is below 1e-6
+    in absolute value (flat maximum).
     """
-    from scipy.optimize import minimize_scalar
-
     h = data.domain_halfwidth
 
     def slope(xi):
         return -6.0 * np.asarray(data.u0_prime(xi), dtype=float)
+
+    def f_l_second(xi):
+        return float(data.f_L_second(float(data.u0(xi))))
 
     grid = np.linspace(-h, h, 8193)
     vals = slope(grid)
     i_star = int(np.argmax(vals))
     if i_star == 0 or i_star == grid.size - 1:
         raise GenericityError("maximum of -6 u0' sits at the domain boundary")
-    res = minimize_scalar(
-        lambda s: -float(slope(s)),
-        bounds=(grid[i_star - 1], grid[i_star + 1]),
-        method="bounded",
-        options={"xatol": 1e-13},
-    )
-    xi_c = float(res.x)
+    lo, hi = float(grid[i_star - 1]), float(grid[i_star + 1])
+    if not f_l_second(lo) * f_l_second(hi) < 0.0:
+        raise GenericityError("f_L'' keeps its sign across the maximum of -6 u0'; data non-generic")
+    xi_c = _bisect(f_l_second, lo, hi)
     m_max = float(slope(xi_c))
     if m_max <= 0.0:
         raise GenericityError("u0' has no negative minimum; no catastrophe")

@@ -246,12 +246,18 @@ class InteriorCriticalData:
 
 def interior_critical_data_t9() -> InteriorCriticalData:
     """Critical data of the symmetric-line interior singular point."""
-    from scipy.integrate import quad
-
     mu = rmt_eq.measure_t9(X_STAR)
     a, b = mu.support
     big_c = float(mu.h_coeffs[2]) / (2.0 * math.pi)
-    omega, _ = quad(lambda s: float(mu.density(s)), 0.0, b, epsabs=1e-12, epsrel=1e-12, limit=200)
+    # s = c + r sin(phi) turns omega = int_0^b psi(s) ds into the integral of
+    # the trigonometric polynomial r^2 cos(phi)^2 h(s) / (2 pi) over
+    # [asin(-c/r), pi/2]; 16 Gauss-Legendre nodes reach float resolution
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    lo = math.asin(-c / r)
+    rule = gauss_jacobi_rule(16, 0.0, 0.0)
+    phi = lo + (0.5 * math.pi - lo) * 0.5 * (1.0 + rule.nodes)
+    psi = r * r * np.cos(phi) ** 2 * mu.h(c + r * np.sin(phi)) / (2.0 * math.pi)
+    omega = 0.5 * (0.5 * math.pi - lo) * float(np.dot(rule.weights, psi))
     return InteriorCriticalData(
         a=a, b=b, s_star=4.0 / 3.0, big_c=big_c, x_star=X_STAR, omega=omega
     )

@@ -293,3 +293,29 @@ class TestEntryPoint:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
+
+    # the KdV side finds its roots by bisection and the interior op-table
+    # integrates omega by a fixed Gauss-Legendre rule, so neither reaches
+    # scipy's root finders or adaptive quadrature
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("kdv-phase", "t_grid = 0.22\n"),
+            ("kdv-compare", "window = hopf\neps_list = 0.2\n"),
+            ("op-table", "which = interior\nx = -3.3\nt = 9.0\nn_range = 8\n"),
+        ],
+        ids=["kdv-phase", "kdv-compare", "op-table-interior"],
+    )
+    def test_loads_no_optimize_or_integrate(self, tmp_path, command, config):
+        import subprocess, sys
+
+        cfg = write_config(tmp_path / "c.cfg", config)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        script = (
+            "import sys, kdvrmt.cli\n"
+            f"assert kdvrmt.cli.main({argv!r}) == 0\n"
+            "loaded = [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()

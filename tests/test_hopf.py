@@ -91,6 +91,15 @@ class TestHopfSolve:
         with pytest.raises(DomainError):
             hopf.hopf_solve(0.0, -0.1, data)
 
+    def test_far_left_foot_point_ends_at_float_resolution(self, data):
+        # near xi = -12 the float spacing (1.8e-15) exceeds any 1e-15 width
+        # tolerance; the bisection must stop when the midpoint is an end
+        x, t = -12.0, 0.05
+        u = hopf.hopf_solve(x, t, data)
+        xi = float(data.f_L(u))
+        assert -12.0 <= xi <= -12.0 + 6.0 * t
+        assert abs(x - 6.0 * t * u - xi) < 1e-10
+
 
 class TestBreakingPoint:
     def test_catastrophe_time_closed_form(self, data):
@@ -113,6 +122,13 @@ class TestBreakingPoint:
         assert cp.x_c == pytest.approx(6.0 * cp.t_c * cp.u_c + cp.xi_c, abs=1e-10)
         assert cp.k == pytest.approx(81.0 * SQ3 / 16.0, rel=1e-9)
         assert cp.k > 0.0
+
+    def test_catastrophe_values_at_float_resolution(self, data):
+        # the maximizer is the bisected sign change of f_L''(u0(xi)), so
+        # u_c and k = -f_L'''(u_c) carry no optimizer tolerance
+        cp = hopf.breaking_point(data)
+        assert cp.u_c == pytest.approx(-2.0 / 3.0, abs=1e-14)
+        assert cp.k == pytest.approx(81.0 * SQ3 / 16.0, abs=1e-12)
 
     def test_scaling_of_catastrophe_time(self, data):
         # u0(lambda x) rescales t_c by 1/lambda (chain rule in the formula)

@@ -150,6 +150,13 @@ class TestAsymptotics:
         assert math.asin(ratio) == pytest.approx(math.asin(2.0 / math.sqrt(35.0)), abs=1e-10)
         assert 0.0 < crit.omega < 1.0
 
+    def test_interior_omega_against_quad(self):
+        # the fixed 16-node rule in phi against adaptive quadrature in s
+        crit = orthopoly.interior_critical_data_t9()
+        mu = rmt_eq.measure_t9(X_STAR)
+        ref, _ = quad(lambda s: float(mu.density(s)), 0.0, crit.b, epsabs=1e-13, epsrel=1e-13, limit=200)
+        assert crit.omega == pytest.approx(ref, abs=1e-14)
+
     def test_interior_at_xstar_scale_argument_zero(self):
         crit = orthopoly.interior_critical_data_t9()
         g1, b1 = orthopoly.asym_interior(X_STAR, 7, crit)
