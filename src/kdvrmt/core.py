@@ -1,8 +1,10 @@
 """Special functions and generic solvers used by every other module.
 
-Everything here is a pure function of its inputs; the only shared state
-is a bounded cache of read-only quadrature rules, so concurrent use from
-several threads is safe.
+Everything here is a pure function of its inputs.  Two bounded, thread-safe
+``functools.lru_cache``s sit under the edge kernels: this module's read-only
+quadrature rules and ``hopf``'s memo of the last 32 theta quadratures, whose
+hits are floats or fresh copies.  Neither hands out a shared mutable object,
+so concurrent use from several threads is safe.
 """
 from __future__ import annotations
 

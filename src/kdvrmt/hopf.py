@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -282,19 +283,41 @@ _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
 # temporary stays under glibc's 128 KiB mmap threshold and in L2; 2**15
 # to 2**17 doubled the edge sweep's time, mostly in page faults.
 _BLOCK = 2**14
+# The memo: a retried continuation step re-asks for quadratures it already
+# has; 32 entries save 99 % of what an unbounded memo would (CHANGES.md).
+_MEMO_ENTRIES = 32
+_MEMO_MAX_LAM = 1024  # larger lam arrays are computed and not stored
 
 
 def _theta_quadrature(lam, u: float, deriv_fn, power: int):
     """(1/(2 sqrt 2)) int ((1+m)/2)^power deriv_fn(z) / sqrt(1-m) dm.
 
     ``lam`` is a scalar (a float comes back) or an array of any shape.
+    The last ``_MEMO_ENTRIES`` results for at most ``_MEMO_MAX_LAM``
+    values are kept, keyed by the exact inputs; a hit returns the stored
+    value (an array as a fresh copy).  Errors are never stored.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.size > _MEMO_MAX_LAM:
+        return _theta_kernel(lam, u, deriv_fn, power)
+    val = _theta_memo(lam.shape, lam.tobytes(), float(u), deriv_fn, power)
+    return val if isinstance(val, float) else val.copy()
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _theta_memo(shape: tuple, lam_bytes: bytes, u: float, deriv_fn, power: int):
+    return _theta_kernel(np.frombuffer(lam_bytes).reshape(shape), u, deriv_fn, power)
+
+
+def _theta_kernel(lam: np.ndarray, u: float, deriv_fn, power: int):
+    """The quadrature itself, for a float64 ``lam`` of any shape.
+
     Node counts double from 48 until no value moves by 1e-10 or more.
     Each rule walks the flattened ``lam`` in blocks of about ``_BLOCK``
     integrand values, so no (lam x n) array is formed, and contracts each
     block with the weights (((1+m)/2)^power folded in) by ``einsum``, off
     BLAS, whose threads cost CPU time here and save no wall time.
     """
-    lam = np.asarray(lam, dtype=float)
     u = float(u)
     if not (-1.0 < u < 0.0 and np.all((lam > -1.0) & (lam < 0.0))):
         raise DomainError(

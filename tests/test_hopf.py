@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -277,6 +280,7 @@ class TestThetaBlocks:
         # temporaries; the blocked kernel holds one block at a time
         lam, u = trailing_lam
         hopf.theta_of(lam, u, data)  # rules cached before tracing
+        hopf._theta_memo.cache_clear()  # so the traced call computes
         tracemalloc.start()
         try:
             hopf.theta_of(lam, u, data)
@@ -288,6 +292,83 @@ class TestThetaBlocks:
     def test_cap_still_raises_next_to_the_minimum(self, data):
         with pytest.raises(AccuracyError):
             hopf.theta_of(-0.25, -0.9999999, data)
+
+
+class TestThetaMemo:
+    """The bounded memo under the theta kernel: exact, bounded, per data."""
+
+    @pytest.fixture(scope="class")
+    def trailing_lam(self):
+        u, v = -0.99989078, -0.2545
+        rule = gauss_jacobi_rule(768, 0.0, 0.5)
+        return u + (v - u) * 0.5 * (1.0 + rule.nodes), u
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        hopf._theta_memo.cache_clear()
+
+    def test_scalar_hit_is_the_fresh_value(self, data):
+        first = hopf.theta_v(-0.45, -0.7, data)
+        hit = hopf.theta_v(-0.45, -0.7, data)
+        fresh = hopf._theta_kernel(np.asarray(-0.45), -0.7, data.f_L_second, 1)
+        assert hopf._theta_memo.cache_info().hits == 1
+        assert type(hit) is float and hit == first == fresh
+
+    def test_array_hit_is_a_fresh_copy(self, data, trailing_lam):
+        lam, u = trailing_lam
+        first = hopf.theta_of(lam, u, data)
+        fresh = hopf._theta_kernel(lam, u, data.f_L_prime, 0)
+        first[:] = 0.0
+        hit = hopf.theta_of(lam, u, data)
+        assert hopf._theta_memo.cache_info().hits == 1
+        assert hit.tobytes() == fresh.tobytes()
+        hit[:] = 0.0
+        assert hopf.theta_of(lam, u, data).tobytes() == fresh.tobytes()
+
+    def test_bounded_and_large_lam_not_stored(self, data):
+        for lam in np.linspace(-0.8, -0.3, 40):
+            hopf.theta_of(lam, -0.7, data)
+        assert hopf._theta_memo.cache_info().currsize == 32
+        big = np.random.default_rng(3).uniform(-0.9, -0.2, 3000)
+        hopf.theta_of(big, -0.7, data)
+        hopf.theta_of(big, -0.7, data)
+        info = hopf._theta_memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 40, 32)
+
+    def test_errors_not_stored(self, data):
+        for _ in range(2):
+            with pytest.raises(AccuracyError):
+                hopf.theta_of(-0.25, -0.9999999, data)
+        assert hopf._theta_memo.cache_info().currsize == 0
+
+    def test_initial_data_do_not_share_entries(self, data):
+        # constant f_L' makes theta that constant
+        flat = dataclasses.replace(data, f_L_prime=lambda z: np.full_like(z, 0.5))
+        sech2 = hopf.theta_of(-0.45, -0.7, data)
+        assert hopf.theta_of(-0.45, -0.7, flat) == pytest.approx(0.5, abs=1e-14)
+        assert hopf.theta_of(-0.45, -0.7, data) == sech2 != pytest.approx(0.5)
+
+    def test_threads_return_the_serial_values(self, data):
+        fns = (hopf.theta_of, hopf.theta_v, hopf.theta_vv)
+        keys = [(fn, lam) for fn in fns for lam in np.linspace(-0.6, -0.3, 12)]
+        serial = [fn(lam, -0.7, data) for fn, lam in keys]
+        hopf._theta_memo.cache_clear()
+        rng = np.random.default_rng(5)
+        orders = [rng.permutation(len(keys)) for _ in range(4)]
+
+        def run(order):
+            return {i: keys[i][0](keys[i][1], -0.7, data) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the memo's bookkeeping
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, order) for order in orders]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for res in results:
+            assert all(res[i] == serial[i] for i in range(len(keys)))
 
 
 class TestTabulatedData:

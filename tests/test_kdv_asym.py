@@ -161,6 +161,23 @@ class TestPhaseDiagram:
         assert all(r["error"] == "" for r in rows)
         assert rows[-1]["x_plus"] == pytest.approx(-1.80325884198, abs=1e-8)
 
+    def test_chained_sweep_reuses_theta_quadratures(self, data, monkeypatch):
+        # a failed continuation step restarts Newton from the same iterate,
+        # so its retries ask again for quadratures the memo holds (2,087 of
+        # 2,319 computed); without the memo every one is computed
+        asked, computed = [], []
+        quadrature, kernel = hopf._theta_quadrature, hopf._theta_kernel
+
+        def count(calls, fn):
+            return lambda *args: calls.append(None) or fn(*args)
+
+        monkeypatch.setattr(hopf, "_theta_quadrature", count(asked, quadrature))
+        monkeypatch.setattr(hopf, "_theta_kernel", count(computed, kernel))
+        hopf._theta_memo.cache_clear()
+        rows = kdv_asym.kdv_phase_diagram(data, [0.22, 0.24, 0.26, 0.28, 0.30])
+        assert rows[-1]["error"] != ""
+        assert len(computed) <= 0.92 * len(asked)
+
     def test_chained_sweep_from_the_fold(self, data, cp):
         # the fold row lies before the seed point, and its gap is far too
         # small at 0.22: a warm start from it can land on a wrong branch
