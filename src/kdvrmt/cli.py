@@ -109,7 +109,7 @@ def cmd_kdv_phase(cfg: dict, out: Path) -> int:
     rows = kdv_asym.kdv_phase_diagram(data, t_grid)
     table = [[r["t"], r["x_minus"], r["x_plus"]] for r in rows]
     _write_csv(out / "kdv_phase.csv", ["t", "x_minus", "x_plus"], table)
-    failures = [r for r in rows if r["error"]]
+    failures = [{"t": r["t"], "error": r["error"]} for r in rows if r["error"]]
     _write_manifest(
         out / "kdv_phase.json",
         "kdv-phase",
@@ -119,6 +119,7 @@ def cmd_kdv_phase(cfg: dict, out: Path) -> int:
             "x_c": cp.x_c,
             "rows": len(rows),
             "failed_rows": len(failures),
+            "failures": failures,
         },
     )
     return 2 if failures else 0
@@ -181,12 +182,12 @@ def cmd_rmt_phase(cfg: dict, out: Path) -> int:
     rows = rmt_eq.rmt_phase_diagram(x_grid, t_grid)
     table = [[r["x"], r["t"], r["class"], r["margin"]] for r in rows]
     _write_csv(out / "rmt_phase.csv", ["x", "t", "class", "margin"], table)
-    failures = [r for r in rows if r["class"] == "failed"]
+    failures = [{"x": r["x"], "t": r["t"], "error": r["error"]} for r in rows if r["class"] == "failed"]
     _write_manifest(
         out / "rmt_phase.json",
         "rmt-phase",
         cfg,
-        {"rows": len(rows), "failed_cells": len(failures)},
+        {"rows": len(rows), "failed_cells": len(failures), "failures": failures},
     )
     return 2 if failures else 0
 

@@ -4,13 +4,16 @@ Everything here is a pure function of its inputs.  Two bounded, thread-safe
 ``functools.lru_cache``s sit under the edge kernels: this module's read-only
 quadrature rules and ``hopf``'s memo of the last 32 theta quadratures, whose
 hits are floats or fresh copies.  Neither hands out a shared mutable object,
-so concurrent use from several threads is safe.
+so concurrent use from several threads is safe.  The Gauss-Jacobi rules of
+the two edge-kernel ladders come from ``_jacobi_rules.npz``, a table of
+``scipy.special.roots_jacobi``'s own output, read on first use.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -180,6 +183,28 @@ def theta3(z: float, tau: complex, dz: int = 0) -> float:
     return total
 
 
+# (alpha, beta) -> node counts served from _jacobi_rules.npz: the theta
+# ladder of hopf._theta_kernel and the _sqrt_weighted_integral ladder of
+# kdv_asym.  roots_jacobi is O(n^2) per rule, so each process would
+# otherwise rebuild them; the table holds its exact output.
+_JACOBI_LADDERS = {
+    (-0.5, 0.0): (48, 96, 192, 384, 768, 1536, 3072),
+    (0.0, 0.5): (96, 192, 384, 768),
+}
+_JACOBI_TABLE = Path(__file__).with_name("_jacobi_rules.npz")
+
+
+def _jacobi_table_name(n: int, alpha: float, beta: float) -> str:
+    """Name of the (2, n) array [nodes; weights] of one rule in the table."""
+    return f"n{n}_a{float(alpha):g}_b{float(beta):g}"
+
+
+@lru_cache(maxsize=1)
+def _jacobi_table() -> dict:
+    with np.load(_JACOBI_TABLE) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
 @lru_cache(maxsize=64)
 def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     """n-point Gauss-Jacobi rule for weight (1-x)^alpha (1+x)^beta on [-1, 1].
@@ -188,12 +213,16 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     the inverse-square-root endpoint factors in the edge integrals, and
     with alpha = beta = 0 as the Gauss-Legendre rule.  Rules are cached
     (bounded) and read-only, so repeated calls return the same object.
+    The rules of ``_JACOBI_LADDERS`` are read from the table; every other
+    rule is built by scipy.
     """
     if n < 1:
         raise DomainError("need n >= 1 nodes")
     if alpha <= -1.0 or beta <= -1.0:
         raise DomainError("Jacobi exponents must exceed -1")
-    if alpha == 0.0 and beta == 0.0:
+    if n in _JACOBI_LADDERS.get((alpha, beta), ()):
+        x, w = _jacobi_table()[_jacobi_table_name(n, alpha, beta)]
+    elif alpha == 0.0 and beta == 0.0:
         x, w = sspecial.roots_legendre(n)
     else:
         x, w = sspecial.roots_jacobi(n, alpha, beta)

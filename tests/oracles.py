@@ -4,7 +4,9 @@ Every oracle here deliberately avoids the code path it checks: series
 summation instead of library calls, dense scans and golden-section search
 instead of Newton, adaptive quadrature with explicit substitutions
 instead of fixed Gauss rules, moment determinants instead of the
-Stieltjes loop, time stepping instead of the spectral map.
+Stieltjes loop, time stepping instead of the spectral map.  The one
+exception, ``jacobi_rule_table``, calls scipy on purpose: it writes the
+table of scipy rules that ``core`` serves, and checks it bit for bit.
 """
 from __future__ import annotations
 
@@ -320,3 +322,28 @@ def pi2_center_shooting_value() -> float:
     from kdvrmt import painleve
 
     return painleve.pi2_center_by_shooting()
+
+
+def jacobi_rule_table() -> dict:
+    """The Gauss-Jacobi ladders of ``core._JACOBI_LADDERS``, built by scipy.
+
+    One (2, n) array [nodes; weights] per rule, named as ``core`` looks it
+    up, plus ``scipy_version``: the contents of ``_jacobi_rules.npz``.
+    """
+    import scipy
+    from scipy.special import roots_jacobi
+
+    from kdvrmt import core
+
+    table = {"scipy_version": np.array(scipy.__version__)}
+    for (alpha, beta), ladder in core._JACOBI_LADDERS.items():
+        for n in ladder:
+            table[core._jacobi_table_name(n, alpha, beta)] = np.stack(roots_jacobi(n, alpha, beta))
+    return table
+
+
+def write_jacobi_rule_table() -> None:
+    """Rewrite ``src/kdvrmt/_jacobi_rules.npz`` from the installed scipy."""
+    from kdvrmt import core
+
+    np.savez(core._JACOBI_TABLE, **jacobi_rule_table())

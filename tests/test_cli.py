@@ -83,6 +83,10 @@ class TestKdvPhase:
         doc = json.loads((tmp_path / "kdv_phase.json").read_text())
         assert doc["failed_rows"] == 1
         assert "config_sha256" in doc
+        # the manifest names the marked row and why it failed
+        [failure] = doc["failures"]
+        assert failure["t"] == 0.5
+        assert "end of the validity window" in failure["error"]
 
 
 class TestKdvCompare:
@@ -135,6 +139,11 @@ class TestRmtPhase:
         # at (-2, 9) no admissible one-cut candidate exists at all
         cfg = write_config(tmp_path / "c.cfg", "x_grid = -2.0\nt_grid = 9.0\n")
         assert cli.main(["rmt-phase", "--config", cfg, "--out", str(tmp_path)]) == 2
+        doc = json.loads((tmp_path / "rmt_phase.json").read_text())
+        assert doc["failed_cells"] == 1
+        [failure] = doc["failures"]
+        assert (failure["x"], failure["t"]) == (-2.0, 9.0)
+        assert "no valid one-cut endpoint solution found" in failure["error"]
 
 
 class TestOpTable:
@@ -290,6 +299,33 @@ class TestEntryPoint:
             + run
             + f"loaded = [m for m in {self.DEFERRED!r} if m in sys.modules]\n"
             + "assert not loaded, loaded\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    # the edge ladders' Gauss-Jacobi table is read on the first request for
+    # one of its rules, never at import and never by the rmt side
+    @pytest.mark.parametrize(
+        "command,config,reads",
+        [
+            (None, "", 0),
+            ("rmt-phase", "x_grid = 0.0\nt_grid = 1.0\n", 0),
+            ("kdv-phase", "t_grid = 0.22\n", 1),
+        ],
+        ids=["import", "rmt-phase", "kdv-phase"],
+    )
+    def test_jacobi_table_read_on_first_use(self, tmp_path, command, config, reads):
+        import subprocess, sys
+
+        run = ""
+        if command is not None:
+            cfg = write_config(tmp_path / "c.cfg", config)
+            argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+            run = f"assert kdvrmt.cli.main({argv!r}) == 0\n"
+        script = (
+            "import kdvrmt, kdvrmt.cli\n"
+            + run
+            + f"assert kdvrmt.core._jacobi_table.cache_info().misses == {reads}\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()

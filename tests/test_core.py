@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvrmt import core
-from kdvrmt.errors import AmbiguityError, ConvergenceError, DomainError
+from kdvrmt.errors import AccuracyError, AmbiguityError, ConvergenceError, DomainError
 
-from oracles import airy_maclaurin, elliptic_by_quadrature, theta3_direct
+from oracles import airy_maclaurin, elliptic_by_quadrature, jacobi_rule_table, theta3_direct
 
 
 class TestAiry:
@@ -154,6 +154,67 @@ class TestQuadratureRules:
             rule.nodes[0] = 0.0
         with pytest.raises(ValueError):
             rule.weights[0] = 1.0
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+
+
+class TestJacobiTable:
+    """The edge ladders come from _jacobi_rules.npz, scipy's rules stored."""
+
+    def test_table_is_scipys_output_bit_for_bit(self):
+        import scipy
+
+        with np.load(core._JACOBI_TABLE) as npz:
+            stored = {name: npz[name] for name in npz.files}
+        recorded = str(stored.pop("scipy_version"))
+        if recorded != scipy.__version__:
+            pytest.skip(f"table written by scipy {recorded}, scipy {scipy.__version__} installed")
+        built = jacobi_rule_table()
+        built.pop("scipy_version")
+        assert stored.keys() == built.keys()
+        for (alpha, beta), ladder in core._JACOBI_LADDERS.items():
+            for n in ladder:
+                name = core._jacobi_table_name(n, alpha, beta)
+                assert stored[name].tobytes() == built[name].tobytes(), name
+                rule = core.gauss_jacobi_rule(n, alpha, beta)
+                assert rule.nodes.tobytes() == built[name][0].tobytes(), name
+                assert rule.weights.tobytes() == built[name][1].tobytes(), name
+
+    @pytest.mark.parametrize("n,alpha,beta", [(100, -0.5, 0.0), (24, 0.5, 0.5), (16, 0.0, 0.0)])
+    def test_untabulated_rules_come_from_scipy(self, monkeypatch, n, alpha, beta):
+        calls = []
+        _count_calls(monkeypatch, core.sspecial, "roots_jacobi", calls)
+        _count_calls(monkeypatch, core.sspecial, "roots_legendre", calls)
+        core.gauss_jacobi_rule.cache_clear()
+        core._jacobi_table.cache_clear()
+        rule = core.gauss_jacobi_rule(n, alpha, beta)
+        assert len(calls) == 1 and rule.nodes.size == n
+        assert core._jacobi_table.cache_info().currsize == 0
+
+    def test_edge_ladders_make_no_scipy_calls(self, monkeypatch):
+        # integrands that grow with the node count never converge, so both
+        # kernels climb their ladders to the cap and ask for every rung
+        from kdvrmt import hopf, kdv_asym
+
+        calls, asked = [], []
+        _count_calls(monkeypatch, core.sspecial, "roots_jacobi", calls)
+        for module in (hopf, kdv_asym):
+            _count_calls(monkeypatch, module, "gauss_jacobi_rule", asked)
+        core.gauss_jacobi_rule.cache_clear()
+
+        def by_size(z):
+            return np.full(np.shape(z), float(np.shape(z)[-1]))
+
+        with pytest.raises(AccuracyError):
+            hopf._theta_kernel(np.array([-0.5, -0.4]), -0.6, by_size, 0)
+        with pytest.raises(AccuracyError):
+            kdv_asym._sqrt_weighted_integral(by_size, -0.6, -0.5, "test integral")
+        assert calls == []
+        tabulated = {(n, a, b) for (a, b), ladder in core._JACOBI_LADDERS.items() for n in ladder}
+        assert set(asked) == tabulated
 
 
 class TestNewtonSolve:
