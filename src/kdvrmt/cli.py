@@ -48,8 +48,10 @@ def _parse_config(path: str | None) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key = value")
-        key, val = line.split("=", 1)
-        cfg[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in cfg:
+            raise ValueError(f"{path}:{line_no}: duplicate key {key!r}")
+        cfg[key] = val
     return cfg
 
 
@@ -126,9 +128,12 @@ def cmd_kdv_phase(cfg: dict, out: Path) -> int:
 
 
 def cmd_kdv_compare(cfg: dict, out: Path, jobs: int) -> int:
+    window = cfg.get("window", "hopf")
+    unread = set(cfg) & {"hopf": {"halfwidth_scale"}, "leading": {"x_lo", "x_hi"}}.get(window, set())
+    if unread:
+        raise ValueError(f"window = {window} does not read {', '.join(sorted(unread))}")
     data = _initial_data(cfg)
     eps_list = _floats(cfg, "eps_list", "0.2,0.1")
-    window = cfg.get("window", "hopf")
     t = float(cfg.get("t", "0.1"))
     n_probe = int(cfg.get("n_probe", "41"))
     if window == "hopf":

@@ -1,12 +1,12 @@
 """Special functions and generic solvers used by every other module.
 
-Everything here is a pure function of its inputs.  Two bounded, thread-safe
-``functools.lru_cache``s sit under the edge kernels: this module's read-only
-quadrature rules and ``hopf``'s memo of the last 32 theta quadratures, whose
-hits are floats or fresh copies.  Neither hands out a shared mutable object,
-so concurrent use from several threads is safe.  The Gauss-Jacobi rules of
-the two edge-kernel ladders come from ``_jacobi_rules.npz``, a table of
-``scipy.special.roots_jacobi``'s own output, read on first use.
+Everything here is a pure function of its inputs, and the edge layer's two
+solver primitives live here alone: ``doubling_quadrature`` climbs the
+Gauss-Jacobi ladders of ``_jacobi_rules.npz`` (``roots_jacobi``'s own output,
+read on first use) to a 1e-10 stop, and ``newton_solve`` hands ``jac(x, fx)``
+the residual it holds.  The bounded ``lru_cache``s under the edge kernels,
+this module's read-only rules and ``hopf``'s theta memo, hand out no shared
+mutable object, so concurrent use from several threads is safe.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import special as sspecial
@@ -28,11 +28,11 @@ from .errors import (
 
 __all__ = [
     "QuadratureRule",
-    "RootConfig",
     "NewtonResult",
     "airy",
     "complete_elliptic",
     "theta3",
+    "doubling_quadrature",
     "gauss_jacobi_rule",
     "newton_solve",
     "sech2",
@@ -61,21 +61,6 @@ class QuadratureRule:
             raise DomainError("quadrature rule needs at least one node")
         if np.any(self.weights <= 0.0):
             raise DomainError("quadrature weights must be positive")
-
-
-@dataclass(frozen=True)
-class RootConfig:
-    """Tolerances and iteration budget for Newton-type solves."""
-
-    abs_tol: float = 1e-12
-    max_iter: int = 60
-    bracket: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise DomainError("abs_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -183,10 +168,9 @@ def theta3(z: float, tau: complex, dz: int = 0) -> float:
     return total
 
 
-# (alpha, beta) -> node counts served from _jacobi_rules.npz: the theta
-# ladder of hopf._theta_kernel and the _sqrt_weighted_integral ladder of
-# kdv_asym.  roots_jacobi is O(n^2) per rule, so each process would
-# otherwise rebuild them; the table holds its exact output.
+# (alpha, beta) -> the node counts doubling_quadrature climbs, served from
+# _jacobi_rules.npz.  roots_jacobi is O(n^2) per rule, so each process
+# would otherwise rebuild them; the table holds its exact output.
 _JACOBI_LADDERS = {
     (-0.5, 0.0): (48, 96, 192, 384, 768, 1536, 3072),
     (0.0, 0.5): (96, 192, 384, 768),
@@ -229,6 +213,21 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     return QuadratureRule(nodes=x, weights=w)
 
 
+def doubling_quadrature(alpha: float, beta: float, integrate: Callable, what: str):
+    """Climb the ``_JACOBI_LADDERS[(alpha, beta)]`` rules until two agree.
+
+    Returns the first ``integrate(rule)``, a float or an array, within 1e-10
+    (max-abs) of its predecessor; at the cap, AccuracyError names ``what``.
+    """
+    prev = None
+    for n in _JACOBI_LADDERS[(alpha, beta)]:
+        val = integrate(gauss_jacobi_rule(n, alpha, beta))
+        if prev is not None and np.max(np.abs(val - prev)) < 1e-10:
+            return val
+        prev = val
+    raise AccuracyError(f"{what} did not converge under node doubling up to {n} nodes")
+
+
 def _fd_jacobian(f: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
     n = x.size
     m = fx.size
@@ -247,23 +246,27 @@ def _fd_jacobian(f: Callable, x: np.ndarray, fx: np.ndarray) -> np.ndarray:
 def newton_solve(
     f: Callable,
     x0,
-    cfg: RootConfig | None = None,
+    tol: float = 1e-12,
+    max_iter: int = 60,
     jac: Callable | None = None,
+    bracket: tuple | None = None,
 ) -> NewtonResult:
     """Damped Newton iteration for F(x) = 0, F: R^k -> R^k, from the 1-d array x0.
 
-    The Jacobian defaults to central finite differences with step
-    eps^(1/3) * scale.  Identical inputs produce identical iterates.
+    Stops once max |F| <= ``tol``.  ``jac(x, fx)`` receives the residual
+    fx = F(x) of the same iterate; it defaults to central finite
+    differences with step eps^(1/3) * scale.  Trial points are clipped to
+    ``bracket = (lo, hi)`` when given.  Identical inputs produce identical
+    iterates.
 
     Raises
     ------
     SingularJacobianError
         If the linearization cannot be solved.
     ConvergenceError
-        After ``cfg.max_iter`` iterations without meeting ``abs_tol``;
+        After ``max_iter`` iterations without meeting ``tol``;
         the exception carries the last iterate.
     """
-    cfg = cfg or RootConfig()
     x = np.array(x0, dtype=float)
 
     def fvec(v):
@@ -271,11 +274,11 @@ def newton_solve(
 
     fx = fvec(x)
     norm = float(np.max(np.abs(fx)))
-    for it in range(cfg.max_iter):
-        if norm <= cfg.abs_tol:
+    for it in range(max_iter):
+        if norm <= tol:
             return NewtonResult(x=x, iterations=it, residual_norm=norm)
         jmat = (
-            np.atleast_2d(np.asarray(jac(x), dtype=float))
+            np.atleast_2d(np.asarray(jac(x, fx), dtype=float))
             if jac is not None
             else _fd_jacobian(fvec, x, fx)
         )
@@ -288,8 +291,8 @@ def newton_solve(
         lam = 1.0
         for _ in range(25):
             x_new = x - lam * step
-            if cfg.bracket is not None:
-                lo, hi = cfg.bracket
+            if bracket is not None:
+                lo, hi = bracket
                 x_new = np.clip(x_new, lo, hi)
             try:
                 f_new = fvec(x_new)
@@ -302,18 +305,18 @@ def newton_solve(
                 break
             lam *= 0.5
         else:
-            if norm <= 100.0 * cfg.abs_tol:  # stalled at the rounding floor
+            if norm <= 100.0 * tol:  # stalled at the rounding floor
                 return NewtonResult(x=x, iterations=it, residual_norm=norm)
             raise ConvergenceError(
                 "Newton line search stalled", last_iterate=x.copy(), iterations=it
             )
         x, fx, norm = x_new, f_new, n_new
-    if norm <= cfg.abs_tol:
-        return NewtonResult(x=x, iterations=cfg.max_iter, residual_norm=norm)
+    if norm <= tol:
+        return NewtonResult(x=x, iterations=max_iter, residual_norm=norm)
     raise ConvergenceError(
-        f"no convergence after {cfg.max_iter} iterations (|F| = {norm:.3e})",
+        f"no convergence after {max_iter} iterations (|F| = {norm:.3e})",
         last_iterate=x.copy(),
-        iterations=cfg.max_iter,
+        iterations=max_iter,
     )
 
 

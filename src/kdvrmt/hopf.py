@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import gauss_jacobi_rule
-from .errors import AccuracyError, AmbiguityError, ConvergenceError, DomainError, GenericityError
+from .core import doubling_quadrature
+from .errors import AmbiguityError, ConvergenceError, DomainError, GenericityError
 
 __all__ = [
     "InitialData",
@@ -312,11 +312,11 @@ def _theta_memo(shape: tuple, lam_bytes: bytes, u: float, deriv_fn, power: int):
 def _theta_kernel(lam: np.ndarray, u: float, deriv_fn, power: int):
     """The quadrature itself, for a float64 ``lam`` of any shape.
 
-    Node counts double from 48 until no value moves by 1e-10 or more.
-    Each rule walks the flattened ``lam`` in blocks of about ``_BLOCK``
-    integrand values, so no (lam x n) array is formed, and contracts each
-    block with the weights (((1+m)/2)^power folded in) by ``einsum``, off
-    BLAS, whose threads cost CPU time here and save no wall time.
+    ``core.doubling_quadrature`` climbs the (-1/2, 0) ladder.  Each rule
+    walks the flattened ``lam`` in blocks of about ``_BLOCK`` integrand
+    values, so no (lam x n) array is formed, and contracts each block with
+    the weights (((1+m)/2)^power folded in) by ``einsum``, off BLAS, whose
+    threads cost CPU time here and save no wall time.
     """
     u = float(u)
     if not (-1.0 < u < 0.0 and np.all((lam > -1.0) & (lam < 0.0))):
@@ -324,23 +324,19 @@ def _theta_kernel(lam: np.ndarray, u: float, deriv_fn, power: int):
             f"theta arguments must lie in (-1, 0); got lam in [{lam.min()}, {lam.max()}], u = {u}"
         )
     flat = lam.reshape(-1, 1)
-    prev = None
-    n = 48
-    while n <= 3072:
-        rule = gauss_jacobi_rule(n, -0.5, 0.0)
+
+    def integrate(rule):
         b, a = 0.5 * (1.0 + rule.nodes), 0.5 * (1.0 - rule.nodes) * u
         w = rule.weights * b**power if power else rule.weights
         sums = np.empty(flat.shape[0])
-        rows = max(1, _BLOCK // n)
+        rows = max(1, _BLOCK // rule.nodes.size)
         for i in range(0, flat.shape[0], rows):
             f = np.asarray(deriv_fn(flat[i : i + rows] * b + a), dtype=float)
             np.einsum("ij,j->i", f, w, out=sums[i : i + rows])
-        val = _INV_2SQRT2 * sums.reshape(lam.shape)
-        if prev is not None and np.max(np.abs(val - prev)) < 1e-10:
-            return float(val) if val.ndim == 0 else val
-        prev = val
-        n *= 2
-    raise AccuracyError("theta quadrature did not converge under node doubling")
+        return _INV_2SQRT2 * sums.reshape(lam.shape)
+
+    val = doubling_quadrature(-0.5, 0.0, integrate, "theta quadrature")
+    return float(val) if val.ndim == 0 else val
 
 
 def theta_of(lam, u: float, data: InitialData):

@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import painleve
 from .core import (
-    RootConfig,
     _fd_jacobian,
     complete_elliptic,
-    gauss_jacobi_rule,
+    doubling_quadrature,
     newton_solve,
     sech2_train,
     theta3,
@@ -84,7 +84,7 @@ class EllipticAnsatz:
     def s(self) -> float:
         return math.sqrt((self.beta2 - self.beta3) / (self.beta1 - self.beta3))
 
-    @property
+    @cached_property
     def modulus_data(self):
         s = self.s
         if s * s > 1.0 - 1e-12:
@@ -111,24 +111,16 @@ class EllipticAnsatz:
 def _sqrt_weighted_integral(g, lo: float, hi: float, what: str) -> float:
     """int_lo^hi g(lam) sqrt(lam - lo) dlam by Gauss-Jacobi.
 
-    The sqrt(lam - lo) endpoint factor is absorbed into a (0, 1/2) rule
-    mapped onto [lo, hi]; the node count doubles from 96 as a convergence
-    guard, and AccuracyError (naming ``what``) is raised if two rules
-    still differ by 1e-10 at 768 nodes.
+    The sqrt(lam - lo) endpoint factor is absorbed into the (0, 1/2) rules
+    of ``core.doubling_quadrature``, mapped onto [lo, hi]; its
+    AccuracyError names ``what`` and the interval.
     """
-    prev = None
-    nodes = 96
-    while nodes <= 768:
-        rule = gauss_jacobi_rule(nodes, 0.0, 0.5)
-        lam = lo + (hi - lo) * 0.5 * (1.0 + rule.nodes)
-        vals = g(lam)
-        scale = ((hi - lo) * 0.5) ** 1.5
-        out = scale * float(np.dot(rule.weights, vals))
-        if prev is not None and abs(out - prev) < 1e-10:
-            return out
-        prev = out
-        nodes *= 2
-    raise AccuracyError(f"{what} on [{lo:.6g}, {hi:.6g}] unconverged at 768 nodes")
+    scale = ((hi - lo) * 0.5) ** 1.5
+
+    def integrate(rule):
+        return scale * float(np.dot(rule.weights, g(lo + (hi - lo) * 0.5 * (1.0 + rule.nodes))))
+
+    return doubling_quadrature(0.0, 0.5, integrate, f"{what} on [{lo:.6g}, {hi:.6g}]")
 
 
 def _leading_system(t: float, data: InitialData):
@@ -145,9 +137,9 @@ def _leading_system(t: float, data: InitialData):
 def trailing_integral(u: float, v: float, t: float, data: InitialData) -> float:
     """int_u^v (6t + theta(lam; u)) sqrt(lam - u) dlam by Gauss-Jacobi.
 
-    The integrand is smooth; the node-doubling guard of
-    ``_sqrt_weighted_integral`` applies.  Swapping the order of the lam
-    and z integrals gives the same value as one integral,
+    The integrand is smooth; ``core.doubling_quadrature`` guards the node
+    count.  Swapping the order of the lam and z integrals gives the same
+    value as one integral,
 
         I(u, v) = int_u^v (6t + f_L'(z)) sqrt(v - z) dz,
 
@@ -178,25 +170,17 @@ def _trailing_system(t: float, data: InitialData):
     # hits its node cap before theta does near u = -1) and takes the
     # second from the exact partials of trailing_integral, reusing the
     # residual of the same iterate
-    last = (None, 0.0, 0.0)  # (w, F1, F2) of the latest residual
-
     def first(w):
         return 6.0 * t + theta_of(w[0] + math.exp(w[1]), w[0], data)
 
     def fun(w):
-        nonlocal last
         u, g = w
         v = u + math.exp(g)
         scale = (0.5 * (v - u)) ** 1.5
-        f1 = first(w)
-        f2 = trailing_integral(u, v, t, data) / scale
-        last = (tuple(w), f1, f2)
-        return np.array([f1, f2])
+        return np.array([first(w), trailing_integral(u, v, t, data) / scale])
 
-    def jac(w):
-        if last[0] != tuple(w):
-            fun(w)
-        _, f1, f2 = last
+    def jac(w, fx):
+        f1, f2 = fx
         u, g = w
         gap = math.exp(g)
         root = math.sqrt(gap)
@@ -231,7 +215,6 @@ def _solve_edge(
     if t <= cp.t_c:
         raise DomainError(f"edge systems exist only for t > t_c = {cp.t_c:.10f}")
     system = _leading_system if kind == "leading" else _trailing_system
-    cfg = RootConfig(abs_tol=1e-11, max_iter=60)
 
     # continuation from just past the catastrophe point, where the
     # asymptotic seed is exact to O(t - t_c), or from a warm start that
@@ -252,7 +235,7 @@ def _solve_edge(
         t_i = t_path[i]
         try:
             fun, jac = system(t_i, data)
-            res = newton_solve(fun, w, cfg, jac=jac)
+            res = newton_solve(fun, w, tol=1e-11, jac=jac)
             # the edges open from v = u as t grows: a halved gap slid onto v = u
             if res.x[1] < w[1] - math.log(2.0):
                 raise ConvergenceError(f"{kind}-edge gap collapsed onto v = u at t = {t_i:.6f}")
@@ -334,9 +317,8 @@ def elliptic_approx(x: float, t: float, eps: float, ansatz: EllipticAnsatz) -> f
     if eps <= 0.0:
         raise DomainError("eps must be positive")
     b1, b2, b3 = ansatz.beta1, ansatz.beta2, ansatz.beta3
-    s, k_val, e_val, kp_val = ansatz.modulus_data
-    alpha = -b1 + (b1 - b3) * e_val / k_val
-    tau = 1j * kp_val / k_val
+    k_val = ansatz.modulus_data[1]
+    alpha, tau = ansatz.alpha, ansatz.tau
     root = math.sqrt(b1 - b3)
     z = (root / (2.0 * eps * k_val)) * (x - 2.0 * t * (b1 + b2 + b3))
     th0 = theta3(z, tau)

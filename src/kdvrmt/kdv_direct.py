@@ -49,12 +49,6 @@ class KdVField:
     def dx(self) -> float:
         return 2.0 * self.P / self.u.size
 
-    def mass(self) -> float:
-        return float(np.sum(self.u)) * self.dx
-
-    def l2(self) -> float:
-        return float(np.sum(self.u**2)) * self.dx
-
 
 def _auto_m(eps: float, big_p: float) -> int:
     for m in range(6, 17):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 import numpy as np
 
-from .core import RootConfig, gauss_jacobi_rule, newton_solve
+from .core import gauss_jacobi_rule, newton_solve
 from .errors import ConvergenceError, DomainError, NotOneCutError
 
 __all__ = [
@@ -376,11 +376,7 @@ def make_onecut_measure(f: QuarticField, seed: tuple | None = None) -> Equilibri
     first_valid = None
     for c0, lw0 in starts():
         try:
-            res = newton_solve(
-                fun,
-                np.array([c0, lw0]),
-                RootConfig(abs_tol=1e-12, max_iter=80, bracket=box),
-            )
+            res = newton_solve(fun, np.array([c0, lw0]), max_iter=80, bracket=box)
             mu = validate(float(res.x[0]), math.exp(float(res.x[1])))
         except (ConvergenceError, NotOneCutError) as exc:
             last_error = exc

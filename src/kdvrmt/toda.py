@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RootConfig, newton_solve
+from .core import newton_solve
 from .errors import CatastropheError, ConvergenceError, DomainError, GenericityError
 from .orthopoly import _lanczos
 
@@ -57,7 +57,7 @@ class TodaState:
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
         if self.beta.size != self.gamma.size + 1:
             raise DomainError("need len(beta) = len(gamma) + 1")
-        if np.any(self.gamma <= 0.0):
+        if not np.all(self.gamma > 0.0):
             raise DomainError("gamma must be positive")
 
     @property
@@ -67,6 +67,9 @@ class TodaState:
 
 def gaussian_state(n_weight: int, n_max: int) -> TodaState:
     """String-equation data of the Gaussian weight: gamma_n^2 = n eps, beta = 0."""
+    for key, value in (("N", n_weight), ("n_max", n_max)):
+        if value < 1:
+            raise DomainError(f"{key} must be >= 1, got {value}")
     eps = 1.0 / n_weight
     n = np.arange(1, n_max + 1)
     return TodaState(
@@ -236,7 +239,7 @@ def hodograph_solve(x: float, t: float, v0_coeffs, seed=None) -> HodographPoint:
             [lp * t + float(f_p(rp, rm)) - x, lm * t + float(f_m(rp, rm)) - x]
         )
 
-    def gjac(r):
+    def gjac(r, _):
         rp, rm = r
         return np.array(
             [
@@ -256,7 +259,7 @@ def hodograph_solve(x: float, t: float, v0_coeffs, seed=None) -> HodographPoint:
                     best = (score, rp, rm)
         seed = np.array([best[1], best[2]])
     try:
-        res = newton_solve(gfun, np.asarray(seed, dtype=float), RootConfig(abs_tol=1e-12, max_iter=80), jac=gjac)
+        res = newton_solve(gfun, np.asarray(seed, dtype=float), max_iter=80, jac=gjac)
     except ConvergenceError as exc:
         raise CatastropheError(
             "hodograph Newton failed (at or past the gradient catastrophe)"
@@ -392,7 +395,7 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
         )
         return np.array([g2, g3 / gap**2])
 
-    def gjac(w):
+    def gjac(w, _):
         rp = w[0]
         gap = math.exp(w[1])
         rm = rp - gap
@@ -427,7 +430,7 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
         raise GenericityError("no catastrophe candidate with t_c > 0 in the scan box")
     w0 = np.array([best[1], math.log(best[1] - best[2])])
     try:
-        res = newton_solve(gfun, w0, RootConfig(abs_tol=1e-10, max_iter=80), jac=gjac)
+        res = newton_solve(gfun, w0, tol=1e-10, max_iter=80, jac=gjac)
     except ConvergenceError as exc:
         raise GenericityError(
             "no generic catastrophe point found for this potential/family"

@@ -26,6 +26,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             cli._parse_config(write_config(tmp_path / "c.cfg", "not a pair\n"))
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        # a repeated key must not silently keep its last value
+        path = write_config(tmp_path / "c.cfg", "t_grid = 0.3\n# again\nt_grid = 0.25\n")
+        with pytest.raises(ValueError, match=r"c\.cfg:3: duplicate key 't_grid'"):
+            cli._parse_config(path)
+
 
 class TestKdvPhase:
     def test_default_run_and_determinism(self, tmp_path):
@@ -110,6 +116,15 @@ class TestKdvCompare:
     def test_unknown_window_rejected(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", "window = bogus\n")
         assert cli.main(["kdv-compare", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize(
+        "window,key", [("leading", "x_lo"), ("leading", "x_hi"), ("hopf", "halfwidth_scale")]
+    )
+    def test_key_the_window_never_reads_rejected(self, tmp_path, capsys, window, key):
+        cfg = write_config(tmp_path / "c.cfg", f"window = {window}\nt = 0.4\n{key} = -9\n")
+        assert cli.main(["kdv-compare", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "kdv_compare.csv").exists()
 
 
 class TestRmtPhase:
@@ -202,6 +217,16 @@ class TestOpTable:
 
 
 class TestTodaRun:
+    @pytest.mark.parametrize(
+        "text,message",
+        [("N = 0\n", "N must be >= 1"), ("N = -5\n", "N must be >= 1"), ("n_max = 0\n", "n_max must be >= 1")],
+    )
+    def test_empty_or_negative_sizes_rejected(self, tmp_path, capsys, text, message):
+        cfg = write_config(tmp_path / "c.cfg", text)
+        assert cli.main(["toda-run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "toda_state.csv").exists()
+
     def test_zero_steps_echoes_input(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", "N = 20\nn_max = 16\nsteps = 0\n")
         assert cli.main(["toda-run", "--config", cfg, "--out", str(tmp_path)]) == 0

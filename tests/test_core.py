@@ -200,10 +200,9 @@ class TestJacobiTable:
         from kdvrmt import hopf, kdv_asym
 
         calls, asked = [], []
-        _count_calls(monkeypatch, core.sspecial, "roots_jacobi", calls)
-        for module in (hopf, kdv_asym):
-            _count_calls(monkeypatch, module, "gauss_jacobi_rule", asked)
         core.gauss_jacobi_rule.cache_clear()
+        _count_calls(monkeypatch, core.sspecial, "roots_jacobi", calls)
+        _count_calls(monkeypatch, core, "gauss_jacobi_rule", asked)
 
         def by_size(z):
             return np.full(np.shape(z), float(np.shape(z)[-1]))
@@ -215,6 +214,41 @@ class TestJacobiTable:
         assert calls == []
         tabulated = {(n, a, b) for (a, b), ladder in core._JACOBI_LADDERS.items() for n in ladder}
         assert set(asked) == tabulated
+
+
+class TestDoublingQuadrature:
+    @pytest.mark.parametrize("alpha,beta", sorted(core._JACOBI_LADDERS))
+    def test_stops_at_first_agreement(self, alpha, beta):
+        # the value settles at the second rung, so the third confirms it and
+        # no further rule is asked for
+        ladder = core._JACOBI_LADDERS[(alpha, beta)]
+        sizes = []
+
+        def integrate(rule):
+            sizes.append(rule.nodes.size)
+            return 1.0 if len(sizes) >= 2 else 2.0
+
+        assert core.doubling_quadrature(alpha, beta, integrate, "test") == 1.0
+        assert sizes == list(ladder[:3])
+
+    def test_agreement_is_max_abs_below_1e10(self):
+        # one entry moves by 2e-10, then by 5e-11: the stop waits for the worst entry
+        vals = iter([np.array([1.0, 2.0]), np.array([1.0, 2.0 + 2e-10]), np.array([1.0, 2.0 + 2.5e-10])])
+        out = core.doubling_quadrature(-0.5, 0.0, lambda rule: next(vals), "test")
+        assert out[1] == 2.0 + 2.5e-10
+
+    @pytest.mark.parametrize("alpha,beta", sorted(core._JACOBI_LADDERS))
+    def test_cap_names_what_and_node_count(self, alpha, beta):
+        ladder = core._JACOBI_LADDERS[(alpha, beta)]
+        sizes = []
+
+        def integrate(rule):
+            sizes.append(rule.nodes.size)
+            return float(rule.nodes.size)
+
+        with pytest.raises(AccuracyError, match=f"widget integral .* {ladder[-1]} nodes"):
+            core.doubling_quadrature(alpha, beta, integrate, "widget integral")
+        assert sizes == list(ladder)
 
 
 class TestNewtonSolve:
@@ -247,7 +281,7 @@ class TestNewtonSolve:
             points.append(v.copy())
             return np.array([v[0] ** 2 + v[1] ** 2 - 4.0, v[0] - v[1]])
 
-        def jac(v):
+        def jac(v, fv):
             return np.array([[2.0 * v[0], 2.0 * v[1]], [1.0, -1.0]])
 
         res = core.newton_solve(f, np.array([1.0, 2.0]), jac=jac)
@@ -256,10 +290,25 @@ class TestNewtonSolve:
         # difference Jacobian
         assert len(points) == res.iterations + 1
 
+    def test_jacobian_receives_the_residual_of_its_iterate(self):
+        # jac(x, fx) is handed F(x) of the same x, including after a damped step
+        seen = []
+
+        def f(v):
+            return np.array([math.atan(v[0] - 1.0)])
+
+        def jac(v, fv):
+            seen.append((v.copy(), fv.copy()))
+            return np.array([[1.0 / (1.0 + (v[0] - 1.0) ** 2)]])
+
+        core.newton_solve(f, np.array([4.0]), jac=jac)
+        assert len(seen) >= 3
+        for v, fv in seen:
+            assert fv.tobytes() == f(v).tobytes()
+
     def test_nonconvergence_carries_iterate(self):
-        cfg = core.RootConfig(abs_tol=1e-15, max_iter=3)
         with pytest.raises(ConvergenceError) as err:
-            core.newton_solve(lambda x: np.exp(x) + 1.0, np.array([0.0]), cfg)  # no root
+            core.newton_solve(lambda x: np.exp(x) + 1.0, np.array([0.0]), tol=1e-15, max_iter=3)  # no root
         assert err.value.last_iterate is not None
 
 

@@ -15,6 +15,11 @@ def gauss20():
 
 
 class TestFlows:
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
+    def test_state_rejects_nonpositive_or_nan_gamma(self, bad):
+        with pytest.raises(DomainError, match="gamma must be positive"):
+            toda.TodaState(eps=0.1, gamma=np.array([0.5, bad]), beta=np.zeros(3), times={})
+
     def test_constant_state_is_fixed_point(self):
         st = toda.TodaState(
             eps=0.1, gamma=np.full(24, 0.8), beta=np.full(25, 0.3), times={}
@@ -141,7 +146,7 @@ class TestHodograph:
         v0 = [0.0, 0.0, 0.0, 0.0, 1.0]
         pt = toda.hodograph_solve(x, t1, v0)
         nodes = np.cos((2 * np.arange(1, 25) - 1) * np.pi / 48.0)
-        from kdvrmt.core import RootConfig, newton_solve
+        from kdvrmt.core import newton_solve
 
         def cond(p):
             c, lw = p
@@ -153,7 +158,7 @@ class TestHodograph:
             )
             return np.array([float(np.mean(vp)), float(np.mean(s * vp)) - 2.0])
 
-        res = newton_solve(cond, np.array([0.0, 0.0]), RootConfig(abs_tol=1e-12))
+        res = newton_solve(cond, np.array([0.0, 0.0]), tol=1e-12)
         c, w = float(res.x[0]), math.exp(float(res.x[1]))
         a, b = c - w, c + w
         assert pt.r_plus == pytest.approx(-a, abs=1e-8)
