@@ -1,9 +1,8 @@
 """The two Painleve-type profiles behind the critical expansions.
 
 Solves the Hastings-McLeod connection problem and the pole-free solution
-of the fourth-order profile equation, replays their defining equations on
-the stored grids, and cross-checks the centers against the independent
-shooting routes.
+of the fourth-order profile equation, and replays their defining
+equations on the stored grids.
 """
 import numpy as np
 
@@ -18,10 +17,6 @@ print(f"  q(8)/Ai(8)  = {painleve.eval_hm(hm, 8.0)/airy(8.0):.10f}")
 print(f"  q(-8)/2     = {painleve.eval_hm(hm, -8.0)/2.0:.10f}")
 print(f"  min q       = {hm.q_values.min():.3e}  (positive branch)")
 
-q0_shoot = painleve.hm_center_by_shooting()
-print(f"  q(0) by backward IVP    = {q0_shoot:.12f}")
-print(f"  route agreement: {abs(q0_shoot - painleve.eval_hm(hm, 0.0)):.2e}")
-
 print("\n== pole-free fourth-order profile ==")
 for t_param in (0.0, 1.0, -1.0):
     sol = painleve.pi2_solution_cached(t_param, 50.0)
@@ -31,10 +26,7 @@ for t_param in (0.0, 1.0, -1.0):
         f"U(+-50) within {sol.boundary_mismatch:.1e} of the two-term tail"
     )
 
-u0_shoot = painleve.pi2_center_by_shooting()
 sol0 = painleve.pi2_solution_cached(0.0, 50.0)
-print(f"  U(0,0) by multiple shooting = {u0_shoot:+.10f}")
-print(f"  collocation vs shooting: {abs(u0_shoot - painleve.eval_pi2(sol0, 0.0)):.2e}")
 
 print("\n== tail structure beyond the two-term expansion (T = 0) ==")
 xs = np.linspace(15.0, 45.0, 7)

@@ -136,6 +136,8 @@ def cmd_kdv_compare(cfg: dict, out: Path, jobs: int) -> int:
     eps_list = _floats(cfg, "eps_list", "0.2,0.1")
     t = float(cfg.get("t", "0.1"))
     n_probe = int(cfg.get("n_probe", "41"))
+    if n_probe < 1:
+        raise ValueError(f"n_probe must be >= 1, got {n_probe}")
     if window == "hopf":
         x_lo = float(cfg.get("x_lo", "-3.0"))
         x_hi = float(cfg.get("x_hi", "-1.0"))

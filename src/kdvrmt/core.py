@@ -83,14 +83,6 @@ def airy(s: float) -> float:
     return float(sspecial.airy(s)[0])
 
 
-def airy_d(s: float) -> float:
-    """Derivative Ai'(s)."""
-    s = float(s)
-    if not math.isfinite(s):
-        raise DomainError("airy_d requires finite argument")
-    return float(sspecial.airy(s)[1])
-
-
 def complete_elliptic(s: float) -> tuple[float, float]:
     """Complete elliptic integrals (K(s), E(s)) in the modulus convention.
 

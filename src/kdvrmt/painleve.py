@@ -17,10 +17,6 @@ components at each end.  Its Newton rows run left conditions, interval
 blocks, right conditions, so with m components and p left conditions the
 Jacobian is banded (l = m - 1 + p, u = 2m - 1 - p: 5/5 for the profile,
 2/2 for Hastings-McLeod) and is solved by ``scipy.linalg.solve_banded``.
-
-Independent shooting solvers (``pi2_center_by_shooting``,
-``hm_center_by_shooting``) provide dual-route values for the cross-checks;
-they never share state with the collocation path.
 """
 from __future__ import annotations
 
@@ -32,7 +28,7 @@ import numpy as np
 from scipy import special as sspecial
 from scipy.linalg import solve_banded
 
-from .core import airy, airy_d
+from .core import airy
 from .errors import AccuracyError, BranchError, ConvergenceError, DomainError
 
 __all__ = [
@@ -45,8 +41,6 @@ __all__ = [
     "eval_hm",
     "eval_hm_ext",
     "pi2_asymptote",
-    "pi2_center_by_shooting",
-    "hm_center_by_shooting",
     "pi2_solution_cached",
     "default_hm_grid",
 ]
@@ -550,167 +544,3 @@ def _hm_tail(s: np.ndarray) -> np.ndarray:
 def default_hm_grid() -> HMGrid:
     """The Hastings-McLeod grid every caller shares, solved once."""
     return solve_hastings_mcleod()
-
-
-# ----------------------------------------------------------------------
-# shooting routes (independent of the collocation path)
-# ----------------------------------------------------------------------
-
-def hm_center_by_shooting() -> float:
-    """q(0) of the Hastings-McLeod solution by one backward IVP.
-
-    The solution decays like Ai, so it starts from q = Ai, q' = Ai' at
-    s = 8 (the cubic term is O(Ai^3), below 1e-21 there) and runs
-    DOP853 back to 0.  Backward, the Bi component of any error decays,
-    so the run is stable.
-    """
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(
-        lambda s, y: [y[1], s * y[0] + 2.0 * y[0] ** 3],
-        (8.0, 0.0),
-        [airy(8.0), airy_d(8.0)],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-20,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"Hastings-McLeod IVP failed: {sol.message}")
-    return float(sol.y[0, -1])
-
-
-def pi2_center_by_shooting() -> float:
-    """U(0, 0) by multiple shooting, matched across interior nodes.
-
-    Both-end single shooting cannot cross the exponential dichotomy of
-    the linearized equation on a domain long enough for the tail data to
-    be accurate, so the domain is split into short segments with the full
-    state at each interface as unknowns; damped Newton enforces segment
-    continuity plus the two-term tail values of (U, U') at both ends.
-
-    Left-end data errors decay inward only at the slow oscillatory rate,
-    so after converging on [-3.2, 3.2] in ten segments the left end is
-    walked out to -10 one segment at a time, each new interface state
-    seeded by backward integration of the converged solution.  Each
-    segment's IVP carries the 4 x 4 fundamental matrix of the linearized
-    equation (20 ODEs), which gives that segment's transition block of
-    the Newton Jacobian.  Completely independent of the collocation path:
-    IVP integrations plus small dense Newton solves.
-    """
-    from scipy.integrate import solve_ivp
-
-    t_param = 0.0
-
-    def rhs(x, y):
-        u, u1, u2, u3 = y
-        return [u1, u2, u3, 240.0 * (t_param * u - u**3 / 6.0 - (u1**2 + 2 * u * u2) / 24.0 - x)]
-
-    def variational(x, z):
-        # state and fundamental matrix (row-major in z[4:]): Phi' = J Phi,
-        # where J shifts the rows up and closes with the linearized
-        # fourth-derivative row
-        u, u1, u2, u3, *phi = z.tolist()
-        a0 = 240.0 * t_param - 120.0 * u * u - 20.0 * u2
-        closing = [a0 * phi[k] - 20.0 * (u1 * phi[4 + k] + u * phi[8 + k]) for k in range(4)]
-        return rhs(x, (u, u1, u2, u3)) + phi[4:] + closing
-
-    blow = lambda x, y: abs(y[0]) - 50.0
-    blow.terminal = True
-
-    def propagate(x0, x1, state):
-        """End state of one segment and its transition block."""
-        z0 = np.concatenate([state, np.eye(4).ravel()])
-        sol = solve_ivp(
-            variational, (x0, x1), z0, method="DOP853", rtol=1e-12, atol=1e-13, events=[blow]
-        )
-        phi = sol.y[4:, -1].reshape(4, 4)
-        if (x1 > x0 and sol.t[-1] < x1) or (x1 < x0 and sol.t[-1] > x1):
-            return np.full(4, 1e6 * (abs(x1 - sol.t[-1]) + 1.0)), phi
-        return sol.y[:4, -1], phi
-
-    def newton(nodes, states, tol):
-        n_seg = len(nodes) - 1
-        n_unknown = 4 * (n_seg + 1)
-        bc_l = np.array(
-            [float(pi2_asymptote(nodes[0], t_param)), float(pi2_asymptote(nodes[0], t_param, 1))]
-        )
-        bc_r = np.array(
-            [float(pi2_asymptote(nodes[-1], t_param)), float(pi2_asymptote(nodes[-1], t_param, 1))]
-        )
-
-        def residual(st):
-            res = [st[0, :2] - bc_l]
-            blocks = []
-            for i in range(n_seg):
-                end_state, phi = propagate(nodes[i], nodes[i + 1], st[i])
-                res.append(end_state - st[i + 1])
-                blocks.append(phi)
-            res.append(st[-1, :2] - bc_r)
-            return np.concatenate(res), blocks
-
-        res, blocks = residual(states)
-        norm = float(np.max(np.abs(res)))
-        for _ in range(50):
-            if norm <= tol:
-                return states, norm
-            jac = np.zeros((n_unknown, n_unknown))
-            jac[0, 0] = 1.0
-            jac[1, 1] = 1.0
-            jac[n_unknown - 2, 4 * n_seg + 0] = 1.0
-            jac[n_unknown - 1, 4 * n_seg + 1] = 1.0
-            for i, phi in enumerate(blocks):
-                jac[2 + 4 * i : 6 + 4 * i, 4 * i : 4 * (i + 1)] = phi
-                jac[2 + 4 * i : 6 + 4 * i, 4 * (i + 1) : 4 * (i + 2)] = -np.eye(4)
-            try:
-                step_vec = np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError("multiple-shooting Jacobian is singular") from exc
-            lam = 1.0
-            improved = False
-            for _ in range(25):
-                trial = states - lam * step_vec.reshape(n_seg + 1, 4)
-                res_try, blocks_try = residual(trial)
-                norm_try = float(np.max(np.abs(res_try)))
-                if math.isfinite(norm_try) and norm_try < norm:
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                raise ConvergenceError(f"multiple-shooting line search stalled at {norm:.2e}")
-            states, res, blocks, norm = trial, res_try, blocks_try, norm_try
-        raise ConvergenceError(f"multiple shooting stalled at residual {norm:.2e}")
-
-    # stage 1: symmetric short domain where the dispersionless seed converges
-    nodes = list(np.linspace(-3.2, 3.2, 11))
-    arr = np.asarray(nodes)
-    safe = np.where(np.abs(arr) < 0.4, 0.4 * np.sign(arr) + (arr == 0.0), arr)
-    states = np.stack(
-        [
-            -np.cbrt(6.0 * arr),
-            -2.0 * (6.0 * np.abs(safe)) ** (-2.0 / 3.0),
-            8.0 * (6.0 * np.abs(safe)) ** (-5.0 / 3.0) * np.sign(safe),
-            -80.0 * (6.0 * np.abs(safe)) ** (-8.0 / 3.0),
-        ],
-        axis=1,
-    )
-    states, _ = newton(np.asarray(nodes), states, tol=1e-9)
-
-    # stage 2: walk the left end outwards, one backward-seeded segment at a time
-    seg = 0.68
-    while nodes[0] > -10.0 + 1e-9:
-        new_left = max(-10.0, nodes[0] - seg)
-        seed_state, _ = propagate(nodes[0], new_left, states[0])
-        nodes.insert(0, new_left)
-        states = np.vstack([seed_state, states])
-        states, _ = newton(np.asarray(nodes), states, tol=1e-9)
-    states, _ = newton(np.asarray(nodes), states, tol=2e-10)
-
-    arr = np.asarray(nodes)
-    i_mid = int(np.argmin(np.abs(arr)))
-    if abs(arr[i_mid]) < 1e-12:
-        return float(states[i_mid, 0])
-    i0 = i_mid if arr[i_mid] < 0.0 else i_mid - 1
-    sol = solve_ivp(
-        rhs, (arr[i0], 0.0), states[i0], method="DOP853", rtol=1e-13, atol=1e-14
-    )
-    return float(sol.y[0, -1])

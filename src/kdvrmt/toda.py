@@ -157,16 +157,7 @@ class Poly2:
         return np.polynomial.polynomial.polyval2d(rp, rm, self.c)
 
     def diff(self, axis: int) -> "Poly2":
-        c = self.c
-        if axis == 0:
-            if c.shape[0] == 1:
-                return Poly2(np.zeros((1, 1)))
-            i = np.arange(1, c.shape[0])
-            return Poly2(c[1:, :] * i[:, None])
-        if c.shape[1] == 1:
-            return Poly2(np.zeros((1, 1)))
-        j = np.arange(1, c.shape[1])
-        return Poly2(c[:, 1:] * j[None, :])
+        return Poly2(np.polynomial.polynomial.polyder(self.c, axis=axis))
 
 
 def _sqrt_series_coeff(n: int) -> float:

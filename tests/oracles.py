@@ -4,9 +4,10 @@ Every oracle here deliberately avoids the code path it checks: series
 summation instead of library calls, dense scans and golden-section search
 instead of Newton, adaptive quadrature with explicit substitutions
 instead of fixed Gauss rules, moment determinants instead of the
-Stieltjes loop, time stepping instead of the spectral map.  The one
-exception, ``jacobi_rule_table``, calls scipy on purpose: it writes the
-table of scipy rules that ``core`` serves, and checks it bit for bit.
+Stieltjes loop, time stepping instead of the spectral map, IVP shooting
+instead of collocation.  The one exception, ``jacobi_rule_table``, calls
+scipy on purpose: it writes the table of scipy rules that ``core``
+serves, and checks it bit for bit.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
+from scipy.special import airy
 
 
 def airy_maclaurin(s: float, n_terms: int = 120) -> float:
@@ -312,16 +314,144 @@ def toda_rk4(state, k: int, dt: float, steps: int):
     return gamma, beta
 
 
-@functools.cache
-def pi2_center_shooting_value() -> float:
-    """``painleve.pi2_center_by_shooting()``, computed once per process.
+def hm_center_by_shooting() -> float:
+    """q(0) of the Hastings-McLeod solution by one backward IVP.
 
-    The shooting run takes seconds and its value never changes, so the
-    tests that hold the collocation solver to it share one run.
+    The solution decays like Ai, so it starts from q = Ai, q' = Ai' at
+    s = 8 (the cubic term is O(Ai^3), below 1e-21 there) and runs
+    DOP853 back to 0.  Backward, the Bi component of any error decays,
+    so the run is stable.
     """
-    from kdvrmt import painleve
+    from kdvrmt.errors import ConvergenceError
 
-    return painleve.pi2_center_by_shooting()
+    ai, ai_prime, _, _ = airy(8.0)
+    sol = solve_ivp(
+        lambda s, y: [y[1], s * y[0] + 2.0 * y[0] ** 3],
+        (8.0, 0.0),
+        [float(ai), float(ai_prime)],
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-20,
+    )
+    if not sol.success:
+        raise ConvergenceError(f"Hastings-McLeod IVP failed: {sol.message}")
+    return float(sol.y[0, -1])
+
+
+@functools.cache
+def pi2_center_by_shooting() -> float:
+    """U(0, 0) by multiple shooting, matched across interior nodes.
+
+    Both-end single shooting cannot cross the exponential dichotomy of
+    the linearized equation on a domain long enough for the tail data to
+    be accurate, so [-10, 3.2] is split into 20 short segments with the
+    full state at each interface as unknowns; damped Newton enforces
+    segment continuity plus the two-term tail values of (U, U') at both
+    ends.  Left-end data errors decay inward only at the slow oscillatory
+    rate, hence the long left side: ten 0.68 segments out to -10, then
+    ten 0.64 segments across [-3.2, 3.2].  Every interface state is
+    seeded from the dispersionless profile -(6X)^{1/3}.  Each segment's
+    IVP carries the 4 x 4 fundamental matrix of the linearized equation
+    (20 ODEs), which gives that segment's transition block of the Newton
+    Jacobian.  Independent of the collocation path: IVP integrations plus
+    small dense Newton solves.  The run takes about a second and its
+    value never changes, so it is computed once per process.
+    """
+    from kdvrmt.errors import ConvergenceError
+    from kdvrmt.painleve import pi2_asymptote
+
+    t_param = 0.0
+
+    def rhs(x, y):
+        u, u1, u2, u3 = y
+        return [u1, u2, u3, 240.0 * (t_param * u - u**3 / 6.0 - (u1**2 + 2 * u * u2) / 24.0 - x)]
+
+    def variational(x, z):
+        # state and fundamental matrix (row-major in z[4:]): Phi' = J Phi,
+        # where J shifts the rows up and closes with the linearized
+        # fourth-derivative row
+        u, u1, u2, u3, *phi = z.tolist()
+        a0 = 240.0 * t_param - 120.0 * u * u - 20.0 * u2
+        closing = [a0 * phi[k] - 20.0 * (u1 * phi[4 + k] + u * phi[8 + k]) for k in range(4)]
+        return rhs(x, (u, u1, u2, u3)) + phi[4:] + closing
+
+    blow = lambda x, y: abs(y[0]) - 50.0
+    blow.terminal = True
+
+    def propagate(x0, x1, state):
+        """End state of one segment and its transition block."""
+        z0 = np.concatenate([state, np.eye(4).ravel()])
+        sol = solve_ivp(
+            variational, (x0, x1), z0, method="DOP853", rtol=1e-12, atol=1e-13, events=[blow]
+        )
+        phi = sol.y[4:, -1].reshape(4, 4)
+        if (x1 > x0 and sol.t[-1] < x1) or (x1 < x0 and sol.t[-1] > x1):
+            return np.full(4, 1e6 * (abs(x1 - sol.t[-1]) + 1.0)), phi
+        return sol.y[:4, -1], phi
+
+    nodes = np.concatenate([np.linspace(-10.0, -3.2, 11)[:-1], np.linspace(-3.2, 3.2, 11)])
+    n_seg = len(nodes) - 1
+    n_unknown = 4 * (n_seg + 1)
+    bc_l = np.array([float(pi2_asymptote(nodes[0], t_param, k)) for k in (0, 1)])
+    bc_r = np.array([float(pi2_asymptote(nodes[-1], t_param, k)) for k in (0, 1)])
+
+    def residual(st):
+        res = [st[0, :2] - bc_l]
+        blocks = []
+        for i in range(n_seg):
+            end_state, phi = propagate(nodes[i], nodes[i + 1], st[i])
+            res.append(end_state - st[i + 1])
+            blocks.append(phi)
+        res.append(st[-1, :2] - bc_r)
+        return np.concatenate(res), blocks
+
+    safe = np.where(np.abs(nodes) < 0.4, 0.4 * np.sign(nodes) + (nodes == 0.0), nodes)
+    states = np.stack(
+        [
+            -np.cbrt(6.0 * nodes),
+            -2.0 * (6.0 * np.abs(safe)) ** (-2.0 / 3.0),
+            8.0 * (6.0 * np.abs(safe)) ** (-5.0 / 3.0) * np.sign(safe),
+            -80.0 * (6.0 * np.abs(safe)) ** (-8.0 / 3.0),
+        ],
+        axis=1,
+    )
+    res, blocks = residual(states)
+    norm = float(np.max(np.abs(res)))
+    for _ in range(50):
+        if norm <= 2e-10:
+            break
+        jac = np.zeros((n_unknown, n_unknown))
+        jac[0, 0] = 1.0
+        jac[1, 1] = 1.0
+        jac[n_unknown - 2, 4 * n_seg + 0] = 1.0
+        jac[n_unknown - 1, 4 * n_seg + 1] = 1.0
+        for i, phi in enumerate(blocks):
+            jac[2 + 4 * i : 6 + 4 * i, 4 * i : 4 * (i + 1)] = phi
+            jac[2 + 4 * i : 6 + 4 * i, 4 * (i + 1) : 4 * (i + 2)] = -np.eye(4)
+        try:
+            step_vec = np.linalg.solve(jac, res)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError("multiple-shooting Jacobian is singular") from exc
+        lam = 1.0
+        for _ in range(25):
+            trial = states - lam * step_vec.reshape(n_seg + 1, 4)
+            res_try, blocks_try = residual(trial)
+            norm_try = float(np.max(np.abs(res_try)))
+            if math.isfinite(norm_try) and norm_try < norm:
+                break
+            lam *= 0.5
+        else:
+            raise ConvergenceError(f"multiple-shooting line search stalled at {norm:.2e}")
+        states, res, blocks, norm = trial, res_try, blocks_try, norm_try
+    else:
+        raise ConvergenceError(f"multiple shooting stalled at residual {norm:.2e}")
+
+    i_mid = int(np.argmin(np.abs(nodes)))
+    if abs(nodes[i_mid]) < 1e-12:
+        return float(states[i_mid, 0])
+    i0 = i_mid if nodes[i_mid] < 0.0 else i_mid - 1
+    sol = solve_ivp(rhs, (nodes[i0], 0.0), states[i0], method="DOP853", rtol=1e-13, atol=1e-14)
+    return float(sol.y[0, -1])
 
 
 def jacobi_rule_table() -> dict:

@@ -14,7 +14,7 @@ import pytest
 
 from kdvrmt import cli, hopf, kdv_asym, kdv_direct, orthopoly, painleve, rmt_eq, toda
 
-from oracles import golden_section_max, pi2_center_shooting_value
+from oracles import golden_section_max, hm_center_by_shooting, pi2_center_by_shooting
 
 X_STAR = rmt_eq.X_STAR
 
@@ -135,7 +135,7 @@ def test_criterion_06_hastings_mcleod():
     ratio_right = painleve.eval_hm(grid, 8.0) / airy(8.0)
     ratio_left = painleve.eval_hm(grid, -8.0) / math.sqrt(4.0)
     q0 = painleve.eval_hm(grid, 0.0)
-    q0_shoot = painleve.hm_center_by_shooting()
+    q0_shoot = hm_center_by_shooting()
     ok = (
         abs(ratio_right - 1.0) < 0.01
         and abs(ratio_left - 1.0) < 0.01
@@ -168,7 +168,7 @@ def test_criterion_07_pi2():
         residuals.append(sol.residual_norm)
     res_ok = max(residuals) < 1e-8
     u0_colloc = painleve.eval_pi2(painleve.pi2_solution_cached(0.0, 50.0), 0.0)
-    u0_shoot = pi2_center_shooting_value()
+    u0_shoot = pi2_center_by_shooting()
     agree_ok = abs(u0_colloc - u0_shoot) < 1e-6
     ok = res_ok and agree_ok
     elapsed_ok = time.time() - t0 < 120.0

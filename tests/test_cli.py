@@ -126,6 +126,13 @@ class TestKdvCompare:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "kdv_compare.csv").exists()
 
+    @pytest.mark.parametrize("window", ["hopf", "leading"])
+    def test_no_probe_points_rejected(self, tmp_path, capsys, window):
+        cfg = write_config(tmp_path / "c.cfg", f"window = {window}\nt = 0.4\nn_probe = 0\n")
+        assert cli.main(["kdv-compare", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "n_probe must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "kdv_compare.csv").exists()
+
 
 class TestRmtPhase:
     def test_edge_cell_classified(self, tmp_path):
@@ -380,3 +387,21 @@ class TestEntryPoint:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
         assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_no_module_imports_scipy_integrate(self):
+        # the IVP and adaptive-quadrature routes are test oracles
+        # (tests/oracles.py); the package itself never needs them
+        import ast
+
+        offenders = []
+        for path in sorted((Path(__file__).resolve().parents[1] / "src" / "kdvrmt").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                if any(f"{name}.".startswith("scipy.integrate.") for name in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert not offenders

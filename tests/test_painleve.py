@@ -7,7 +7,7 @@ from kdvrmt import painleve
 from kdvrmt.core import airy
 from kdvrmt.errors import AccuracyError, ConvergenceError, DomainError
 
-from oracles import pi2_center_shooting_value
+from oracles import hm_center_by_shooting, pi2_center_by_shooting
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ class TestHastingsMcLeod:
             painleve.solve_hastings_mcleod(10.0, 100)
 
     def test_shooting_oracle_matches(self, hm):
-        q0_shoot = painleve.hm_center_by_shooting()
+        q0_shoot = hm_center_by_shooting()
         assert painleve.eval_hm(hm, 0.0) == pytest.approx(q0_shoot, abs=1e-6)
 
 
@@ -161,8 +161,20 @@ class TestPI2:
         assert slope < -0.9
         assert slope == pytest.approx(-2.0, abs=0.2)
 
+    def test_shooting_oracle_runs_one_newton(self, monkeypatch):
+        # one multiple-shooting Newton on the 21-node grid: about 240 IVPs
+        import oracles
+
+        calls = []
+        real = oracles.solve_ivp
+        monkeypatch.setattr(oracles, "solve_ivp", lambda *a, **k: calls.append(1) or real(*a, **k))
+        oracles.pi2_center_by_shooting.cache_clear()
+        u00 = oracles.pi2_center_by_shooting()
+        assert len(calls) <= 300
+        assert u00 == pytest.approx(-0.4151720866823554, abs=1e-10)
+
     def test_center_value_against_shooting(self, pi2_t0):
-        u00 = pi2_center_shooting_value()
+        u00 = pi2_center_by_shooting()
         assert painleve.eval_pi2(pi2_t0, 0.0) == pytest.approx(u00, abs=1e-6)
 
     def test_eval_outside_domain_flags(self, pi2_t0):
