@@ -1,14 +1,14 @@
 """Direct pseudospectral solver for u_t + 6 u u_x + eps^2 u_xxx = 0.
 
 Periodic surrogate of the whole-line problem: the decaying profile is
-wrapped onto [-P, P] with 2^m Fourier modes.  Time stepping is ETDRK4
-(Cox & Matthews 2002): the stiff linear part L = i eps^2 k^3 is
-integrated exactly, and only the dealiased quadratic term is stepped
-explicitly, with coefficients from a contour mean over a full circle
-(Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005).  Step sizes sit
-on the dyadic ladder t_final / 2^j and are chosen by step doubling with
-local extrapolation.  In this form the truncated system conserves mass
-exactly and the L2 norm up to time integration error, which is what the
+wrapped onto [-P, P] with 2^m Fourier modes.  Time stepping is Krogstad's
+ETDRK4 (J. Comput. Phys. 203, 2005): the stiff linear part
+L = i eps^2 k^3 is integrated exactly, and only the dealiased quadratic
+term is stepped explicitly, with the phi-functions of hL in closed form.
+Step sizes sit on the half-octave ladder t_final 2^(-j/2) (the last step
+is clipped to land on t_final) and are chosen by step doubling with local
+extrapolation.  In this form the truncated system conserves mass exactly
+and the L2 norm up to time integration error, which is what the
 conservation budget checks.
 """
 from __future__ import annotations
@@ -22,10 +22,6 @@ from .errors import DomainError, ResolutionError, StabilityError
 from .hopf import InitialData
 
 __all__ = ["KdVField", "solve_kdv", "probe"]
-
-# 32 points on the unit circle, none on the imaginary axis where hL lives
-_CONTOUR = np.exp(1j * math.pi * (np.arange(32) + 0.5) / 16.0)
-
 
 @dataclass(frozen=True)
 class KdVField:
@@ -60,36 +56,42 @@ def _auto_m(eps: float, big_p: float) -> int:
     )
 
 
-def _etd_coefficients(h: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """ETDRK4 coefficients (E, E_half, Q, f1, f2, f3) for a column h of steps.
+def _phi(z: np.ndarray) -> list:
+    """phi_1, phi_2, phi_3 of z: phi_{k+1} = (phi_k - 1/k!) / z where |z| >= 1,
+    else 18 Taylor terms sum_j z^j / (j + k)! (exactly 1, 1/2, 1/6 at z = 0)."""
+    small = np.abs(z) < 1.0
+    zb = np.where(small, 1.0, z)
+    p, out = np.exp(zb), []
+    for k in range(1, 4):
+        p = (p - 1.0 / math.factorial(k - 1)) / zb
+        p[small] = np.polyval([1.0 / math.factorial(j + k) for j in range(17, -1, -1)], z[small])
+        out.append(p)
+    return out
 
-    Means over a full circle around each h L (L is imaginary, so the real
-    part of a half circle would be wrong), walked one point at a time.
-    """
-    hl = h * lin
-    q, f1, f2, f3 = (np.zeros_like(hl) for _ in range(4))
-    for r in _CONTOUR:
-        z = hl + r
-        ez = np.exp(z)
-        z3 = z**3
-        q += (np.exp(z / 2.0) - 1.0) / z
-        f1 += (-4.0 - z + ez * (4.0 - 3.0 * z + z * z)) / z3
-        f2 += (2.0 + z + ez * (z - 2.0)) / z3
-        f3 += (-4.0 - 3.0 * z - z * z + ez * (4.0 - z)) / z3
-    s = h / _CONTOUR.size
-    return np.array([np.exp(hl), np.exp(hl / 2.0), q * s, f1 * s, f2 * s, f3 * s])
+
+def _etd_coefficients(h: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """Krogstad ETDRK4 coefficients for a column h of steps: e^{hL}, e^{hL/2},
+    the stage weights h/2 phi_1(hL/2), h phi_2(hL/2), h phi_1(hL), 2h phi_2(hL)
+    and the final weights h (phi_1 - 3 phi_2 + 4 phi_3, 2 phi_2 - 4 phi_3,
+    4 phi_3 - phi_2)."""
+    z = h * lin
+    p1, p2, p3 = _phi(z)
+    q1, q2, _ = _phi(z / 2.0)
+    return np.array([
+        np.exp(z), np.exp(z / 2.0), h / 2.0 * q1, h * q2, h * p1, 2.0 * h * p2,
+        h * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2),
+    ])
 
 
 def _etdrk4(v, nv, c, nonlinear):
-    """One ETDRK4 step from v, with nv = nonlinear(v) and coefficients c."""
-    e, e_half, q, f1, f2, f3 = c
-    ev = e_half * v
-    a = ev + q * nv
+    """One Krogstad ETDRK4 step from v, with nv = nonlinear(v) and coefficients c."""
+    e, e_half, a1, a2, b1, b2, f1, f2, f3 = c
+    ev = e * v
+    a = e_half * v + a1 * nv
     na = nonlinear(a)
-    b = ev + q * na
-    nb = nonlinear(b)
-    nc = nonlinear(e_half * a + q * (2.0 * nb - nv))
-    return e * v + f1 * nv + 2.0 * f2 * (na + nb) + f3 * nc
+    nb = nonlinear(a + a2 * (na - nv))
+    nc = nonlinear(ev + b1 * nv + b2 * (nb - nv))
+    return ev + f1 * nv + f2 * (na + nb) + f3 * nc
 
 
 def solve_kdv(
@@ -115,16 +117,18 @@ def solve_kdv(
     at most ``atol * sqrt(n) + rtol * |u_hat|``.  By Parseval ``atol``
     bounds (within sqrt(2)) the local error's Euclidean norm over the n
     grid values and ``rtol`` its size relative to u.  The extrapolated value is kept, so
-    ``err_est`` over-estimates the error of the returned field.
+    ``err_est`` over-estimates the error of the returned field.  Blow-up
+    and the spectral tail are checked after every accepted step, so an
+    unresolved run fails within a few steps of losing resolution.
 
     Raises
     ------
     ResolutionError
-        If the requested/auto grid cannot resolve eps, or the final
-        spectrum carries a tail above 1e-6 of its peak.
+        If the requested/auto grid cannot resolve eps, or the spectrum
+        carries a tail above 1e-6 of its peak after any step.
     StabilityError
-        On blow-up (non-finite or runaway amplitude), or when the step
-        budget runs out.
+        On blow-up (non-finite or runaway amplitude after any step), or
+        when the step budget or the step floor t_final 2^-40 is reached.
     """
     from scipy import fft as sfft
 
@@ -142,6 +146,8 @@ def solve_kdv(
         raise ResolutionError(
             f"grid spacing {dx:.3g} does not resolve eps/4 = {eps / 4.0:.3g}"
         )
+    if t_final < 0.0:
+        raise DomainError("t_final must be >= 0")
     x = -big_p + dx * np.arange(n)
     if u0_values is not None:
         u = np.asarray(u0_values, dtype=float).copy()
@@ -151,8 +157,6 @@ def solve_kdv(
         u = np.asarray(data.u0(x), dtype=float).copy()
         if max(abs(float(data.u0(big_p))), abs(float(data.u0(-big_p)))) > 1e-8:
             raise DomainError("initial profile does not decay at the periodic wrap")
-    if t_final < 0.0:
-        raise DomainError("t_final must be >= 0")
 
     k = 2.0 * math.pi * sfft.rfftfreq(n, d=dx)
     lin = 1j * eps**2 * k**3
@@ -170,29 +174,48 @@ def solve_kdv(
         u_phys = sfft.irfft(v_hat * dealias, n)
         return grad * sfft.rfft(u_phys * u_phys)
 
-    # level j steps h = t_final / 2^j; each cached set holds the
-    # coefficients for h and h/2, stacked so both run as one batch
+    tail_modes = np.flatnonzero(dealias)[int(0.8 * np.count_nonzero(dealias)):]
+
+    def check(v_hat):
+        # max |u| <= 2 sum |u_hat| / n, so the inverse transform runs only
+        # when that bound fails; NaN fails both tests
+        spec = np.abs(v_hat)
+        if not (2.0 * float(np.sum(spec)) / n <= amp_cap
+                or np.max(np.abs(sfft.irfft(v_hat, n))) <= amp_cap):
+            raise StabilityError(f"solution blew up at t = {t_final - left:.6f}")
+        tail, peak = float(np.max(spec[tail_modes])), float(np.max(spec))
+        if tail > 1e-6 * peak:
+            raise ResolutionError(
+                f"spectral tail {tail:.3e} above 1e-6 of peak {peak:.3e}; increase m or P"
+            )
+
+    # rung j steps h = t_final * 2^(-j/2); each of at most four cached sets
+    # holds the coefficients for h and h/2, stacked so both run as one batch
     coeffs = {}
 
-    def at(level):
-        if level not in coeffs:
-            h = t_final / 2.0**level
-            coeffs[level] = _etd_coefficients(np.array([[h], [h / 2.0]]), lin)
-        return coeffs[level]
+    def at(h):
+        if h not in coeffs:
+            if len(coeffs) == 4:
+                del coeffs[next(iter(coeffs))]
+            coeffs[h] = _etd_coefficients(np.array([[h], [h / 2.0]]), lin)
+        return coeffs[h]
 
-    level = 0
-    while t_final > 1e-3 * 2**level:
-        level += 1
-    pos = 0  # t = pos * t_final / 2^level
+    rung = 0
+    while t_final * 2.0 ** (-rung / 2) > 1e-3:
+        rung += 1
+    # t / t_final = done[0] + sqrt(2) done[1], both sums exact in floats
+    done, left = [0.0, 0.0], t_final
     abs_tol = atol * math.sqrt(n)
     err_est = 0.0
     n_steps = attempts = 0
-    while t_final > 0.0 and pos < 2**level:
-        # a rejected non-finite trial halves the step, down to a floor
-        if attempts == 2_000_000 or level > 40:
-            raise StabilityError(f"step budget exhausted at t = {t_final * pos / 2**level:.6f}")
+    while left > 0.0:
+        # a rejected non-finite trial shrinks the step, down to a floor
+        if attempts == 2_000_000 or rung > 80:
+            raise StabilityError(f"step budget exhausted at t = {t_final - left:.6f}")
         attempts += 1
-        c = at(level)
+        # the last step is clipped to land on t_final
+        h = min(t_final * 2.0 ** (-rung / 2), left)
+        c = at(h)
         nv = nonlinear(v)
         full, mid = _etdrk4(v, nv, c, nonlinear)
         two = _etdrk4(mid, nonlinear(mid), c[:, 1], nonlinear)
@@ -201,32 +224,18 @@ def solve_kdv(
         err = corr_norm / (abs_tol + rtol * float(np.linalg.norm(v)))
         if err <= 1.0:
             v = two + corr
-            pos += 1
+            done[rung % 2] += 0.5 ** ((rung + 1) // 2)
+            left = 0.0 if h == left else t_final * (1.0 - done[0] - math.sqrt(2.0) * done[1])
             n_steps += 1
             err_est += corr_norm
-            if not np.all(np.isfinite(v)):
-                raise StabilityError(f"non-finite spectrum at t = {t_final * pos / 2**level:.6f}")
-            # twice the step raises the error 32-fold: try it if that fits
-            if err < 1.0 / 64.0 and pos % 2 == 0 and level > 0:
-                level -= 1
-                pos //= 2
-        else:
-            level += 1
-            pos *= 2
+            check(v)
+        # the error scales as h^5: move to the rung of 0.9 err^(-1/5) h,
+        # at most one octave either way; a non-finite trial moves one down
+        grow = 0.9 * max(err, 1e-3) ** -0.2 if math.isfinite(err) else 0.5
+        rung -= max(-2, min(2, math.floor(2.0 * math.log2(grow))))
 
+    check(v)
     u_final = sfft.irfft(v, n)
-    if not np.all(np.isfinite(u_final)) or np.max(np.abs(u_final)) > amp_cap:
-        raise StabilityError("solution blew up")
-
-    spec = np.abs(v)
-    kept = spec[dealias > 0.0]
-    tail = float(np.max(kept[int(0.8 * kept.size):]))
-    if tail > 1e-6 * float(np.max(spec)):
-        raise ResolutionError(
-            f"spectral tail {tail:.3e} above 1e-6 of peak {float(np.max(spec)):.3e}; "
-            "increase m or P"
-        )
-
     mass_drift = abs(v[0].real * dx - mass0) / max(1.0, abs(mass0))
     l2_final = float(np.sum(u_final**2)) * dx
     l2_drift = abs(l2_final - l2_0) / max(1e-30, abs(l2_0))

@@ -1,7 +1,8 @@
 """Independent reference computations used to freeze expected values.
 
 Every oracle here deliberately avoids the code path it checks: series
-summation instead of library calls, dense scans and golden-section search
+summation instead of library calls, mpmath's AGM for the complete
+elliptic integrals, dense scans and golden-section search
 instead of Newton, adaptive quadrature with explicit substitutions
 instead of fixed Gauss rules, moment determinants instead of the
 Stieltjes loop, time stepping instead of the spectral map, IVP shooting
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.special import airy
@@ -36,17 +38,9 @@ def airy_maclaurin(s: float, n_terms: int = 120) -> float:
     return c1 * f_sum - c2 * g_sum
 
 
-def elliptic_by_quadrature(s: float) -> tuple[float, float]:
-    """K(s), E(s) from adaptive quadrature of the defining integrals."""
-    k_val, _ = quad(
-        lambda t: 1.0 / math.sqrt(1.0 - (s * math.sin(t)) ** 2), 0.0, math.pi / 2.0,
-        epsabs=1e-14, epsrel=1e-14, limit=200,
-    )
-    e_val, _ = quad(
-        lambda t: math.sqrt(1.0 - (s * math.sin(t)) ** 2), 0.0, math.pi / 2.0,
-        epsabs=1e-14, epsrel=1e-14, limit=200,
-    )
-    return k_val, e_val
+def elliptic_by_mpmath(s: float) -> tuple[float, float]:
+    """K(s), E(s) from mpmath's arbitrary-precision AGM (parameter s^2)."""
+    return float(mpmath.ellipk(s * s)), float(mpmath.ellipe(s * s))
 
 
 def theta3_direct(z: float, im_tau: float, n_terms: int = 400) -> float:

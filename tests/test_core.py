@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from kdvrmt import core
 from kdvrmt.errors import AccuracyError, AmbiguityError, ConvergenceError, DomainError
 
-from oracles import airy_maclaurin, elliptic_by_quadrature, jacobi_rule_table, theta3_direct
+from oracles import airy_maclaurin, elliptic_by_mpmath, jacobi_rule_table, theta3_direct
 
 
 class TestAiry:
@@ -49,9 +49,9 @@ class TestCompleteElliptic:
         kp, ep = core.complete_elliptic(sp)
         assert abs(e * kp + ep * k - k * kp - math.pi / 2.0) < 1e-10
 
-    def test_against_quadrature_oracle(self):
+    def test_against_mpmath_oracle(self):
         k, e = core.complete_elliptic(0.9)
-        k_ref, e_ref = elliptic_by_quadrature(0.9)
+        k_ref, e_ref = elliptic_by_mpmath(0.9)
         assert k == pytest.approx(k_ref, rel=1e-12)
         assert e == pytest.approx(e_ref, rel=1e-12)
 

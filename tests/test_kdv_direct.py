@@ -1,11 +1,13 @@
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
 from kdvrmt import hopf, kdv_direct
-from kdvrmt.errors import DomainError, ResolutionError
+from kdvrmt.errors import DomainError, ResolutionError, StabilityError
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,7 @@ class TestSolveKdV:
         assert np.max(np.abs(a.u - b.u)) < 1e-6
 
     def test_fixed_ladder_order_four(self, data):
-        # plain ETDRK4 at h = T/8 ... T/64 against T/1024: error ratios ~16
+        # Krogstad ETDRK4 at h = T/8 ... T/64 against T/1024: error ratios ~16
         n, big_p, eps, t_final = 1024, 15.0, 0.1, 0.1
         dx = 2.0 * big_p / n
         k = 2.0 * math.pi * np.fft.rfftfreq(n, d=dx)
@@ -92,6 +94,42 @@ class TestSolveKdV:
         assert 1e-11 < err <= loose.err_est
         assert ref.err_est < loose.err_est
 
+    def test_default_tolerance_meets_tight_solve(self, data):
+        # accuracy guard: a faster stepper may not loosen the default solve
+        ref = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1, rtol=1e-15, atol=1e-17)
+        field = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1)
+        assert float(np.max(np.abs(field.u - ref.u))) <= 1e-12
+
+    def test_underresolved_run_fails_fast(self):
+        # m = 8 cannot hold this amplitude: the tail passes 1e-6 of the peak within a few steps
+        n = 2**8
+        x = -10.0 + 20.0 / n * np.arange(n)
+        t0 = time.perf_counter()
+        with pytest.raises(ResolutionError, match="spectral tail"):
+            kdv_direct.solve_kdv(
+                None, eps=1.0, t_final=1.0, big_p=10.0, m=8, u0_values=1e3 * np.exp(-x**2)
+            )
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_blowup_reaches_step_floor(self):
+        n = 2**8
+        x = -10.0 + 20.0 / n * np.arange(n)
+        # every trial overflows, so the step shrinks down to the floor
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            StabilityError, match="step budget"
+        ):
+            kdv_direct.solve_kdv(
+                None, eps=1.0, t_final=1.0, big_p=10.0, m=8, u0_values=1e150 * np.exp(-x**2)
+            )
+
+    def test_negative_time_rejected_before_sampling(self):
+        def u0(x):
+            raise AssertionError("u0 sampled")
+
+        bad = hopf.InitialData(u0, u0, u0, u0, u0, u0, x_M=0.0, domain_halfwidth=15.0)
+        with pytest.raises(DomainError, match="t_final"):
+            kdv_direct.solve_kdv(bad, eps=0.2, t_final=-1.0)
+
     def test_mass_exact_and_rerun_bitwise(self, data):
         a = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1)
         b = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1)
@@ -120,6 +158,20 @@ class TestSolveKdV:
         )
         with pytest.raises(DomainError):
             kdv_direct.solve_kdv(bad, eps=0.2, t_final=0.05, big_p=15.0)
+
+
+class TestPhi:
+    @pytest.mark.parametrize("y", [1e-6, 0.3, 0.99, 1.0, 1.5, 10.0, 1e3])
+    def test_against_mpmath(self, y):
+        with mpmath.workdps(40):
+            z = mpmath.mpc(0, y)
+            ref = [(mpmath.exp(z) - 1) / z]
+            for k in (2, 3):
+                ref.append((ref[-1] - 1 / mpmath.factorial(k - 1)) / z)
+            ref = [complex(r) for r in ref]
+        got = kdv_direct._phi(np.array([1j * y]))
+        for g, r in zip(got, ref):
+            assert abs(complex(g[0]) - r) <= 1e-15 * abs(r)
 
 
 class TestProbe:
