@@ -1,10 +1,13 @@
 """Special functions and generic solvers used by every other module.
 
-Everything here is a pure function of its inputs, and the edge layer's two
+Everything here is a pure function of its inputs, and the package's two
 solver primitives live here alone: ``doubling_quadrature`` climbs the
 Gauss-Jacobi ladders of ``_jacobi_rules.npz`` (``roots_jacobi``'s own output,
-read on first use) to a 1e-10 stop, and ``newton_solve`` hands ``jac(x, fx)``
-the residual it holds.  The bounded ``lru_cache``s under the edge kernels,
+read on first use) to a 1e-10 stop, and ``newton_solve`` is the one damped
+Newton loop.  It hands ``jac(x, fx)`` the residual it holds, takes the
+linear step from ``solve`` (dense for the edge, Toda and one-cut systems,
+banded for ``painleve``'s collocation), and stops at the rounding floor of
+the residual.  The bounded ``lru_cache``s under the edge kernels,
 this module's read-only rules and ``hopf``'s theta memo, hand out no shared
 mutable object, so concurrent use from several threads is safe.
 """
@@ -242,14 +245,19 @@ def newton_solve(
     max_iter: int = 60,
     jac: Callable | None = None,
     bracket: tuple | None = None,
+    solve: Callable = np.linalg.solve,
 ) -> NewtonResult:
     """Damped Newton iteration for F(x) = 0, F: R^k -> R^k, from the 1-d array x0.
 
-    Stops once max |F| <= ``tol``.  ``jac(x, fx)`` receives the residual
+    Stops once max |F| <= ``tol``, or at the rounding floor: once a step
+    fails to halve a residual already within 100 ``tol``, the better of
+    the two iterates is returned.  ``jac(x, fx)`` receives the residual
     fx = F(x) of the same iterate; it defaults to central finite
-    differences with step eps^(1/3) * scale.  Trial points are clipped to
-    ``bracket = (lo, hi)`` when given.  Identical inputs produce identical
-    iterates.
+    differences with step eps^(1/3) * scale.  ``solve(J, fx)`` returns
+    the Newton step for whatever matrix form ``jac`` builds (dense by
+    default; ``painleve`` passes a banded one).  Trial points are clipped
+    to ``bracket = (lo, hi)`` when given.  Identical inputs produce
+    identical iterates.
 
     Raises
     ------
@@ -275,12 +283,13 @@ def newton_solve(
             else _fd_jacobian(fvec, x, fx)
         )
         try:
-            step = np.linalg.solve(jmat, fx)
+            step = solve(jmat, fx)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
                 f"singular Jacobian at iteration {it}", last_iterate=x.copy(), iterations=it
             ) from exc
         lam = 1.0
+        improved = False
         for _ in range(25):
             x_new = x - lam * step
             if bracket is not None:
@@ -294,11 +303,16 @@ def newton_solve(
                 lam *= 0.5
                 continue
             if math.isfinite(n_new) and n_new < norm:
+                improved = True
                 break
             lam *= 0.5
-        else:
-            if norm <= 100.0 * tol:  # stalled at the rounding floor
-                return NewtonResult(x=x, iterations=it, residual_norm=norm)
+        if norm <= 100.0 * tol and not (improved and n_new <= 0.5 * norm):
+            # a step that fails to halve a residual this small has reached
+            # the rounding floor of the residual
+            if improved:
+                return NewtonResult(x=x_new, iterations=it + 1, residual_norm=n_new)
+            return NewtonResult(x=x, iterations=it, residual_norm=norm)
+        if not improved:
             raise ConvergenceError(
                 "Newton line search stalled", last_iterate=x.copy(), iterations=it
             )

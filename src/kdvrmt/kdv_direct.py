@@ -123,6 +123,9 @@ def solve_kdv(
 
     Raises
     ------
+    DomainError
+        If eps <= 0, t_final < 0 or rtol is below float64 machine epsilon
+        (round-off alone exceeds such a tolerance).
     ResolutionError
         If the requested/auto grid cannot resolve eps, or the spectrum
         carries a tail above 1e-6 of its peak after any step.
@@ -148,6 +151,8 @@ def solve_kdv(
         )
     if t_final < 0.0:
         raise DomainError("t_final must be >= 0")
+    if rtol < np.finfo(float).eps:
+        raise DomainError(f"rtol {rtol:.3g} is below float64 machine epsilon and cannot be met")
     x = -big_p + dx * np.arange(n)
     if u0_values is not None:
         u = np.asarray(u0_values, dtype=float).copy()

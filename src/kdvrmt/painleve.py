@@ -13,10 +13,11 @@ Two objects are produced here:
   with parabola growth on the left and Airy decay on the right.
 
 Both use the same collocation core, which takes Dirichlet data on some
-components at each end.  Its Newton rows run left conditions, interval
+components at each end and hands its residual and band Jacobian to
+``core.newton_solve``.  Its Newton rows run left conditions, interval
 blocks, right conditions, so with m components and p left conditions the
 Jacobian is banded (l = m - 1 + p, u = 2m - 1 - p: 5/5 for the profile,
-2/2 for Hastings-McLeod) and is solved by ``scipy.linalg.solve_banded``.
+2/2 for Hastings-McLeod) and each step is one ``scipy.linalg.solve_banded``.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import numpy as np
 from scipy import special as sspecial
 from scipy.linalg import solve_banded
 
-from .core import airy
+from .core import airy, newton_solve
 from .errors import AccuracyError, BranchError, ConvergenceError, DomainError
 
 __all__ = [
@@ -53,7 +54,7 @@ _SIXTH23 = 6.0 ** (2.0 / 3.0)
 # ----------------------------------------------------------------------
 
 def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11):
-    """Damped Newton on the 3-stage Lobatto-IIIA collocation equations.
+    """Solve the 3-stage Lobatto-IIIA collocation equations by ``newton_solve``.
 
     ``x``: mesh (M+1,), ``y0``: initial iterate (M+1, m).  ``left`` and
     ``right`` are (components, values) pairs of Dirichlet data at x[0]
@@ -71,25 +72,25 @@ def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11):
     the Jacobian is then banded with l = m - 1 + p sub- and u = 2m - 1 - p
     superdiagonals, and each step is one ``solve_banded``.
     """
-    y = np.array(y0, dtype=float)
-    n_nodes, m = y.shape
+    n_nodes, m = np.shape(y0)
     big_m = n_nodes - 1
     h = np.diff(x)[:, None]
+    x_mid = 0.5 * (x[:-1] + x[1:])
     eye = np.eye(m)
     comp_l, val_l = (np.asarray(a) for a in left)
     comp_r, val_r = (np.asarray(a) for a in right)
     p = comp_l.size
     n_lo, n_up = m - 1 + p, 2 * m - 1 - p
 
-    def residual(yv):
+    def midpoints(yv):
         fv = f(x, yv)
-        f_lo, f_hi = fv[:-1], fv[1:]
-        y_mid = 0.5 * (yv[:-1] + yv[1:]) + (h / 8.0) * (f_lo - f_hi)
-        x_mid = 0.5 * (x[:-1] + x[1:])
-        f_mid = f(x_mid, y_mid)
-        res_i = yv[1:] - yv[:-1] - (h / 6.0) * (f_lo + 4.0 * f_mid + f_hi)
-        res = np.concatenate([yv[0, comp_l] - val_l, res_i.ravel(), yv[-1, comp_r] - val_r])
-        return res, (f_lo, f_hi, f_mid, y_mid, x_mid)
+        return fv, 0.5 * (yv[:-1] + yv[1:]) + (h / 8.0) * (fv[:-1] - fv[1:])
+
+    def residual(flat):
+        yv = flat.reshape(n_nodes, m)
+        fv, y_mid = midpoints(yv)
+        res_i = yv[1:] - yv[:-1] - (h / 6.0) * (fv[:-1] + 4.0 * f(x_mid, y_mid) + fv[1:])
+        return np.concatenate([yv[0, comp_l] - val_l, res_i.ravel(), yv[-1, comp_r] - val_r])
 
     # band storage ab[n_up + row - col, col]: the interval blocks (m x 2m)
     # follow the p left rows; each boundary row holds a constant 1
@@ -106,50 +107,25 @@ def _mirk4_newton(f, dfdy, left, right, x, y0, tol=1e-11):
     ab[n_up + np.arange(p) - comp_l, comp_l] = 1.0
     ab[n_up + p + np.arange(comp_r.size) - comp_r, big_m * m + comp_r] = 1.0
 
-    res, parts = residual(y)
-    norm = np.max(np.abs(res))
-    for _ in range(40):
-        if norm <= tol:
-            return y
-        f_lo, f_hi, f_mid, y_mid, x_mid = parts
-        df_lo = dfdy(x[:-1], y[:-1])
-        df_hi = dfdy(x[1:], y[1:])
-        df_mid = dfdy(x_mid, y_mid)
+    def jac(flat, _res):
+        yv = flat.reshape(n_nodes, m)
+        df = dfdy(x, yv)
+        df_mid = dfdy(x_mid, midpoints(yv)[1])
         h3 = h[:, :, None]
-        dmid_lo = 0.5 * eye + (h3 / 8.0) * df_lo
-        dmid_hi = 0.5 * eye - (h3 / 8.0) * df_hi
-        block_lo = -eye - (h3 / 6.0) * (df_lo + 4.0 * np.einsum("nij,njk->nik", df_mid, dmid_lo))
-        block_hi = eye - (h3 / 6.0) * (df_hi + 4.0 * np.einsum("nij,njk->nik", df_mid, dmid_hi))
+        dmid_lo = 0.5 * eye + (h3 / 8.0) * df[:-1]
+        dmid_hi = 0.5 * eye - (h3 / 8.0) * df[1:]
+        block_lo = -eye - (h3 / 6.0) * (df[:-1] + 4.0 * np.einsum("nij,njk->nik", df_mid, dmid_lo))
+        block_hi = eye - (h3 / 6.0) * (df[1:] + 4.0 * np.einsum("nij,njk->nik", df_mid, dmid_hi))
         ab[band_lo] = block_lo.ravel()
         ab[band_hi] = block_hi.ravel()
-        try:
-            step = solve_banded((n_lo, n_up), ab, res, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("collocation Jacobian is singular") from exc
-        step = step.reshape(n_nodes, m)
+        return ab
 
-        lam = 1.0
-        improved = False
-        for _ in range(30):
-            y_try = y - lam * step
-            res_try, parts_try = residual(y_try)
-            norm_try = np.max(np.abs(res_try))
-            if math.isfinite(norm_try) and norm_try < norm:
-                improved = True
-                break
-            lam *= 0.5
-        if (not improved or norm_try > 0.5 * norm) and norm <= 100.0 * tol:
-            # a Newton step that fails to halve a residual this small has
-            # reached the rounding floor of the residual rows
-            return y_try if improved else y
-        if not improved:
-            raise ConvergenceError("collocation line search stalled", last_iterate=y)
-        y, res, parts, norm = y_try, res_try, parts_try, norm_try
-    if norm <= tol:
-        return y
-    raise ConvergenceError(
-        f"collocation Newton stalled at residual {norm:.3e}", last_iterate=y
-    )
+    def solve(band, r):
+        return solve_banded((n_lo, n_up), band, r, check_finite=False)
+
+    y = np.asarray(y0, dtype=float).ravel()
+    sol = newton_solve(residual, y, tol=tol, max_iter=40, jac=jac, solve=solve)
+    return sol.x.reshape(n_nodes, m)
 
 
 def _fd_weights7(x: np.ndarray):

@@ -113,11 +113,12 @@ class SingularityReport:
     margins: dict = dc_field(default_factory=dict)
 
 
-def _lagrange_constant(support, h_coeffs, vfun) -> float:
-    a, b = support
-    mid = 0.5 * (a + b)
+def _measure(f: QuarticField, support: tuple, h_coeffs) -> EquilibriumMeasure:
+    """The measure of ``support`` and ``h_coeffs``, its ell read off at the midpoint."""
+    mid = 0.5 * (support[0] + support[1])
     mu = EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=0.0)
-    return 2.0 * log_potential(mu, mid) - float(vfun(mid))
+    ell = 2.0 * log_potential(mu, mid) - float(field_eval(f, mid)[0])
+    return EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=ell)
 
 
 def measure_gaussian(x: float) -> EquilibriumMeasure:
@@ -126,11 +127,7 @@ def measure_gaussian(x: float) -> EquilibriumMeasure:
     Support [-2 e^{-x/2}, 2 e^{-x/2}], density (e^x / 2 pi) sqrt(4 e^{-x} - s^2).
     """
     half = 2.0 * math.exp(-x / 2.0)
-    support = (-half, half)
-    h_coeffs = np.array([math.exp(x)])
-    f = QuarticField(x=x, t=0.0)
-    ell = _lagrange_constant(support, h_coeffs, lambda s: field_eval(f, s)[0])
-    return EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=ell)
+    return _measure(QuarticField(x=x, t=0.0), (-half, half), np.array([math.exp(x)]))
 
 
 def measure_line_t(t: float) -> EquilibriumMeasure:
@@ -147,10 +144,7 @@ def measure_line_t(t: float) -> EquilibriumMeasure:
     g2 = 5.0 / t - 5.0
     denom = 5.0 + g2
     h_coeffs = np.array([(4.0 + g2) / denom, -4.0 / denom, 1.0 / denom])
-    support = (-2.0, 2.0)
-    f = QuarticField(x=0.0, t=t)
-    ell = _lagrange_constant(support, h_coeffs, lambda s: field_eval(f, s)[0])
-    return EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=ell)
+    return _measure(QuarticField(x=0.0, t=t), (-2.0, 2.0), h_coeffs)
 
 
 def t9_halfwidth(x: float) -> float:
@@ -184,10 +178,7 @@ def measure_t9(x: float) -> EquilibriumMeasure:
     pref = 16.0 / (b * b * (b * b + 4.0 * c_off))
     # h(s) = pref ((s - s*)^2 + C) in ascending coefficients
     h_coeffs = pref * np.array([s_star**2 + c_off, -2.0 * s_star, 1.0])
-    support = (s_star - b, s_star + b)
-    f = QuarticField(x=x, t=9.0)
-    ell = _lagrange_constant(support, h_coeffs, lambda s: field_eval(f, s)[0])
-    return EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=ell)
+    return _measure(QuarticField(x=x, t=9.0), (s_star - b, s_star + b), h_coeffs)
 
 
 def log_potential(mu: EquilibriumMeasure, s):
@@ -356,7 +347,8 @@ def make_onecut_measure(f: QuarticField, seed: tuple | None = None) -> Equilibri
         return _endpoint_conditions(f, p[0], math.exp(p[1]))
 
     def validate(c, w):
-        mu = _onecut_measure(f, c - w, c + w)
+        a, b = c - w, c + w
+        mu = _measure(f, (a, b), _build_h(f, a, b))
         mass = mu.mass()
         if abs(mass - 1.0) > 1e-8:
             raise NotOneCutError(f"rebuilt density has mass {mass:.6f}, not 1")
@@ -389,12 +381,6 @@ def make_onecut_measure(f: QuarticField, seed: tuple | None = None) -> Equilibri
     raise NotOneCutError(
         "no valid one-cut endpoint solution found"
     ) from last_error
-
-
-def _onecut_measure(f: QuarticField, a: float, b: float) -> EquilibriumMeasure:
-    h = _build_h(f, a, b)
-    ell = _lagrange_constant((a, b), h, lambda s: field_eval(f, s)[0])
-    return EquilibriumMeasure(support=(a, b), h_coeffs=h, ell=ell)
 
 
 def solve_onecut_endpoints(f: QuarticField) -> tuple[float, float]:

@@ -148,13 +148,13 @@ def string_residual(state: TodaState, v_coeffs) -> tuple[np.ndarray, np.ndarray,
 # ----------------------------------------------------------------------
 
 class Poly2:
-    """Bivariate polynomial in (r_plus, r_minus), dense coefficient matrix."""
+    """Bivariate polynomial in (r_plus, r_minus) that broadcasts its arguments."""
 
     def __init__(self, coeffs):
         self.c = np.atleast_2d(np.asarray(coeffs, dtype=float))
 
     def __call__(self, rp, rm):
-        return np.polynomial.polynomial.polyval2d(rp, rm, self.c)
+        return np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(rp, rm), self.c)
 
     def diff(self, axis: int) -> "Poly2":
         return Poly2(np.polynomial.polynomial.polyder(self.c, axis=axis))
@@ -240,15 +240,16 @@ def hodograph_solve(x: float, t: float, v0_coeffs, seed=None) -> HodographPoint:
         )
 
     if seed is None:
+        # 40 x 40 scan of r_- < r_+ < 2 scale, scored by |g_0| + |g_1|
         scale = 2.0 * math.sqrt(abs(x)) + 1.0
-        best = None
-        for rp in np.linspace(0.01 * scale, 2.0 * scale, 40):
-            for rm in np.linspace(-2.0 * scale, rp - 0.01 * scale, 40):
-                g = gfun((rp, rm))
-                score = abs(g[0]) + abs(g[1])
-                if best is None or score < best[0]:
-                    best = (score, rp, rm)
-        seed = np.array([best[1], best[2]])
+        rp = np.linspace(0.01 * scale, 2.0 * scale, 40)
+        rm = np.linspace(-2.0 * scale, rp - 0.01 * scale, 40, axis=-1)
+        rp = rp[:, None]
+        lp, lm = _lambdas(rp, rm)
+        score = np.abs(lp * t + f_p(rp, rm) - x) + np.abs(lm * t + f_m(rp, rm) - x)
+        score = np.where(np.isfinite(score), score, np.inf)
+        i, j = np.unravel_index(np.argmin(score), score.shape)
+        seed = np.array([rp[i, 0], rm[i, j]])
     try:
         res = newton_solve(gfun, np.asarray(seed, dtype=float), max_iter=80, jac=gjac)
     except ConvergenceError as exc:
@@ -408,18 +409,22 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
             ]
         )
 
-    best = None
-    for rp0 in np.linspace(-8.0, 8.0, 161):
-        for rm0 in np.linspace(-8.0, rp0 - 0.2, 80):
-            if t_of(rp0, rm0) <= 1e-3:
-                continue
-            g = gfun((rp0, math.log(rp0 - rm0)))
-            score = abs(g[0]) + abs(g[1])
-            if best is None or score < best[0]:
-                best = (score, rp0, rm0)
-    if best is None:
+    # 161 x 80 scan over gaps of at least 0.2 where t_c > 1e-3, scored
+    # like gfun by |g2| + |g3| / gap^2
+    rp = np.linspace(-8.0, 8.0, 161)
+    # row by row: the empty row rp = -7.8 would switch one array-stop
+    # linspace to another rounding for every row
+    rm = np.array([np.linspace(-8.0, r - 0.2, 80) for r in rp])
+    rp = rp[:, None]
+    gap = rp - rm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g3 = f_p(rp, rm) - f_m(rp, rm) - 2.0 * gap * f_brk2(rp, rm)
+        score = np.abs(f_brk3(rp, rm)) + np.abs(g3 / gap**2)
+    score = np.where(np.isfinite(score) & (4.0 * f_brk2(rp, rm) > 1e-3), score, np.inf)
+    i, j = np.unravel_index(np.argmin(score), score.shape)
+    if score[i, j] == np.inf:
         raise GenericityError("no catastrophe candidate with t_c > 0 in the scan box")
-    w0 = np.array([best[1], math.log(best[1] - best[2])])
+    w0 = np.array([rp[i, 0], math.log(rp[i, 0] - rm[i, j])])
     try:
         res = newton_solve(gfun, w0, tol=1e-10, max_iter=80, jac=gjac)
     except ConvergenceError as exc:

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvrmt import core
-from kdvrmt.errors import AccuracyError, AmbiguityError, ConvergenceError, DomainError
+from kdvrmt.errors import (
+    AccuracyError,
+    AmbiguityError,
+    ConvergenceError,
+    DomainError,
+    SingularJacobianError,
+)
 
 from oracles import airy_maclaurin, elliptic_by_mpmath, jacobi_rule_table, theta3_direct
 
@@ -305,6 +311,61 @@ class TestNewtonSolve:
         assert len(seen) >= 3
         for v, fv in seen:
             assert fv.tobytes() == f(v).tobytes()
+
+    def test_banded_solve_follows_the_dense_path(self):
+        # tridiagonal A v + v^3 / 10 = b: the banded step reproduces the dense
+        # iterates, and a singular band is reported like a singular matrix
+        from scipy.linalg import solve_banded
+
+        n = 6
+        b = np.arange(1.0, n + 1.0)
+
+        def f(v):
+            av = 4.0 * v
+            av[1:] -= v[:-1]
+            av[:-1] -= v[1:]
+            return av + 0.1 * v**3 - b
+
+        def dense(v, fv):
+            seen.append(v.copy())
+            return 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1) + np.diag(0.3 * v**2)
+
+        def band(v, fv):
+            seen.append(v.copy())
+            ab = np.zeros((3, n))
+            ab[0, 1:], ab[1], ab[2, :-1] = -1.0, 4.0 + 0.3 * v**2, -1.0
+            return ab
+
+        def banded(ab, r):
+            return solve_banded((1, 1), ab, r)
+
+        seen = []
+        r_dense = core.newton_solve(f, np.full(n, 3.0), jac=dense)
+        dense_iterates, seen = seen, []
+        r_band = core.newton_solve(f, np.full(n, 3.0), jac=band, solve=banded)
+        assert r_band.iterations == r_dense.iterations >= 3
+        np.testing.assert_allclose(seen, dense_iterates, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(r_band.x, r_dense.x, rtol=0.0, atol=1e-14)
+        with pytest.raises(SingularJacobianError, match="singular"):
+            core.newton_solve(f, np.zeros(n), jac=lambda v, fv: np.zeros((3, n)), solve=banded)
+
+    def test_stops_at_a_floor_between_tol_and_100_tol(self):
+        # |F| = c (1 + e^{-x}) decays onto the floor c = 3e-12, which lies
+        # between tol and 100 tol: the step from x = 0 improves 6e-12 to
+        # 3.4e-12 without halving it, so that iterate is returned (going on
+        # drives e^{-x} to zero and the Jacobian singular)
+        c = 3e-12
+
+        def f(v):
+            return c * (1.0 + np.exp(-v))
+
+        def jac(v, fv):
+            return np.array([[-c * math.exp(-v[0])]])
+
+        res = core.newton_solve(f, np.array([0.0]), tol=1e-13, jac=jac)
+        assert res.x[0] == 2.0
+        assert res.iterations == 1
+        assert res.residual_norm == pytest.approx(c * (1.0 + math.exp(-2.0)), rel=1e-15)
 
     def test_nonconvergence_carries_iterate(self):
         with pytest.raises(ConvergenceError) as err:

@@ -130,6 +130,14 @@ class TestSolveKdV:
         with pytest.raises(DomainError, match="t_final"):
             kdv_direct.solve_kdv(bad, eps=0.2, t_final=-1.0)
 
+    def test_rtol_below_machine_epsilon_rejected_before_sampling(self):
+        def u0(x):
+            raise AssertionError("u0 sampled")
+
+        bad = hopf.InitialData(u0, u0, u0, u0, u0, u0, x_M=0.0, domain_halfwidth=15.0)
+        with pytest.raises(DomainError, match="rtol .* machine epsilon"):
+            kdv_direct.solve_kdv(bad, eps=0.2, t_final=0.1, rtol=1e-16)
+
     def test_mass_exact_and_rerun_bitwise(self, data):
         a = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1)
         b = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1)

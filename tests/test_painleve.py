@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kdvrmt import painleve
-from kdvrmt.core import airy
-from kdvrmt.errors import AccuracyError, ConvergenceError, DomainError
+from kdvrmt.core import airy, newton_solve
+from kdvrmt.errors import AccuracyError, DomainError, SingularJacobianError
 
 from oracles import hm_center_by_shooting, pi2_center_by_shooting
 
@@ -57,8 +57,24 @@ def test_singular_collocation_jacobian_raises():
         return np.zeros((np.atleast_2d(y).shape[0], 2, 2))
 
     x = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ConvergenceError, match="singular"):
+    with pytest.raises(SingularJacobianError, match="singular"):
         painleve._mirk4_newton(zero, zero_jac, ([1], [1.0]), ([1], [0.0]), x, np.zeros((11, 2)))
+
+
+def test_collocation_runs_on_the_shared_newton(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(painleve, "newton_solve", counting)
+    painleve.solve_hastings_mcleod()
+    assert len(calls) == 1
+    # T = 0: the start on the continuation mesh, then two defect-mesh passes
+    painleve.solve_pi2(0.0)
+    assert len(calls) == 4
+    assert all(kw["solve"] is not np.linalg.solve for kw in calls)
 
 
 class TestHastingsMcLeod:
