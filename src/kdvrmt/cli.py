@@ -11,7 +11,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -77,23 +76,6 @@ def _initial_data(cfg: dict):
     raise ValueError(f"unknown initial_data selector {selector!r}")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_manifest(path: Path, command: str, cfg: dict, extra: dict) -> None:
-    doc = {
-        "command": command,
-        "config": cfg,
-        "config_sha256": _config_hash(cfg),
-        **extra,
-    }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _map_jobs(fn, items, jobs: int):
     if jobs <= 1:
         return [fn(item) for item in items]
@@ -101,35 +83,22 @@ def _map_jobs(fn, items, jobs: int):
         return list(pool.map(fn, items))
 
 
-def cmd_kdv_phase(cfg: dict, out: Path) -> int:
+def cmd_kdv_phase(cfg: dict):
     data = _initial_data(cfg)
     cp = hopf.breaking_point(data)
     t_grid = _floats(cfg, "t_grid", "")
     if any(t <= cp.t_c for t in t_grid):
-        print(f"validation: all t must exceed t_c = {cp.t_c:.10g}", file=sys.stderr)
-        return 1
+        raise ValueError(f"all t must exceed t_c = {cp.t_c:.10g}")
     rows = kdv_asym.kdv_phase_diagram(data, t_grid)
-    table = [[r["t"], r["x_minus"], r["x_plus"]] for r in rows]
-    _write_csv(out / "kdv_phase.csv", ["t", "x_minus", "x_plus"], table)
-    failures = [{"t": r["t"], "error": r["error"]} for r in rows if r["error"]]
-    _write_manifest(
-        out / "kdv_phase.json",
-        "kdv-phase",
-        cfg,
-        {
-            "t_c": cp.t_c,
-            "x_c": cp.x_c,
-            "rows": len(rows),
-            "failed_rows": len(failures),
-            "failures": failures,
-        },
-    )
-    return 2 if failures else 0
+    failed = sum(bool(r["error"]) for r in rows)
+    return rows, {"t_c": cp.t_c, "x_c": cp.x_c, "rows": len(rows), "failed_rows": failed}
 
 
-def cmd_kdv_compare(cfg: dict, out: Path, jobs: int) -> int:
+def cmd_kdv_compare(cfg: dict, jobs: int):
     window = cfg.get("window", "hopf")
-    unread = set(cfg) & {"hopf": {"halfwidth_scale"}, "leading": {"x_lo", "x_hi"}}.get(window, set())
+    if window not in ("hopf", "leading"):
+        raise ValueError(f"unknown window {window!r}")
+    unread = set(cfg) & {"hopf": {"halfwidth_scale"}, "leading": {"x_lo", "x_hi"}}[window]
     if unread:
         raise ValueError(f"window = {window} does not read {', '.join(sorted(unread))}")
     data = _initial_data(cfg)
@@ -138,94 +107,52 @@ def cmd_kdv_compare(cfg: dict, out: Path, jobs: int) -> int:
     n_probe = int(cfg.get("n_probe", "41"))
     if n_probe < 1:
         raise ValueError(f"n_probe must be >= 1, got {n_probe}")
+
+    # points(eps) -> (probe abscissae, the asymptotic values there)
     if window == "hopf":
-        x_lo = float(cfg.get("x_lo", "-3.0"))
-        x_hi = float(cfg.get("x_hi", "-1.0"))
-        reference = [hopf.hopf_solve(x, t, data) for x in np.linspace(x_lo, x_hi, n_probe)]
-        probes = np.linspace(x_lo, x_hi, n_probe)
-    elif window == "leading":
+        xs = np.linspace(float(cfg.get("x_lo", "-3.0")), float(cfg.get("x_hi", "-1.0")), n_probe)
+        reference = np.asarray([hopf.hopf_solve(x, t, data) for x in xs])
+
+        def points(eps):
+            return xs, reference
+
+    else:
         edge = kdv_asym.solve_leading_edge(t, data)
         half = float(cfg.get("halfwidth_scale", "5.0"))
-    else:
-        print(f"validation: unknown window {window!r}", file=sys.stderr)
-        return 1
 
-    rows = []
-    errors = []
+        def points(eps):
+            width = half * eps ** (2.0 / 3.0)
+            xs = np.linspace(edge.x_edge - width, edge.x_edge + width, n_probe)
+            return xs, np.asarray([kdv_asym.leading_edge_approx(x, t, eps, edge, data) for x in xs])
 
     def run_eps(eps):
+        row = {"eps": eps, "max_error": math.nan, "error": ""}
         try:
             field = kdv_direct.solve_kdv(data, eps=eps, t_final=t)
-            if window == "hopf":
-                vals = kdv_direct.probe(field, probes)
-                err = float(np.max(np.abs(vals - np.asarray(reference))))
-            else:
-                width = half * eps ** (2.0 / 3.0)
-                xs = np.linspace(edge.x_edge - width, edge.x_edge + width, n_probe)
-                approx = [kdv_asym.leading_edge_approx(x, t, eps, edge, data) for x in xs]
-                direct = kdv_direct.probe(field, xs)
-                err = float(np.max(np.abs(np.asarray(approx) - direct)))
-            return (eps, err, "")
+            xs, reference = points(eps)
+            row["max_error"] = float(np.max(np.abs(kdv_direct.probe(field, xs) - reference)))
         except KdvrmtError as exc:
-            return (eps, math.nan, str(exc))
+            row["error"] = str(exc)
+        return row
 
-    for eps, err, msg in _map_jobs(run_eps, eps_list, jobs):
-        rows.append([eps, err])
-        if msg:
-            errors.append({"eps": eps, "error": msg})
-    _write_csv(out / "kdv_compare.csv", ["eps", "max_error"], rows)
-    _write_manifest(
-        out / "kdv_compare.json",
-        "kdv-compare",
-        cfg,
-        {"window": window, "t": t, "failures": errors},
-    )
-    return 2 if errors else 0
+    return _map_jobs(run_eps, eps_list, jobs), {"window": window, "t": t}
 
 
-def cmd_rmt_phase(cfg: dict, out: Path) -> int:
+def cmd_rmt_phase(cfg: dict):
     x_grid = _floats(cfg, "x_grid", "-4.0,-3.0,-2.0,-1.0,0.0")
     t_grid = _floats(cfg, "t_grid", "0.5,1.0")
     rows = rmt_eq.rmt_phase_diagram(x_grid, t_grid)
-    table = [[r["x"], r["t"], r["class"], r["margin"]] for r in rows]
-    _write_csv(out / "rmt_phase.csv", ["x", "t", "class", "margin"], table)
-    failures = [{"x": r["x"], "t": r["t"], "error": r["error"]} for r in rows if r["class"] == "failed"]
-    _write_manifest(
-        out / "rmt_phase.json",
-        "rmt-phase",
-        cfg,
-        {"rows": len(rows), "failed_cells": len(failures), "failures": failures},
-    )
-    return 2 if failures else 0
+    return rows, {"rows": len(rows), "failed_cells": sum(bool(r["error"]) for r in rows)}
 
 
-def cmd_op_table(cfg: dict, out: Path) -> int:
+def cmd_op_table(cfg: dict):
     which = cfg.get("which", "regular")
-    x = float(cfg.get("x", "0.0"))
-    t = float(cfg.get("t", "0.0"))
-    n_range = _ints(cfg, "n_range", "4,8,12,16")
-    field = rmt_eq.QuarticField(x=x, t=t)
-    rows, slope = orthopoly.compare_asymptotics(field, n_range, which)
-    table = [
-        [r["n"], r["gamma_num"], r["gamma_asym"], r["err_gamma"], r["beta_num"], r["beta_asym"], r["err_beta"]]
-        for r in rows
-    ]
-    _write_csv(
-        out / "op_table.csv",
-        ["n", "gamma_num", "gamma_asym", "err_gamma", "beta_num", "beta_asym", "err_beta"],
-        table,
-    )
-    failures = [{"n": r["n"], "error": r["error"]} for r in rows if r["error"]]
-    _write_manifest(
-        out / "op_table.json",
-        "op-table",
-        cfg,
-        {"which": which, "fitted_exponent": slope, "failures": failures},
-    )
-    return 2 if failures else 0
+    field = rmt_eq.QuarticField(x=float(cfg.get("x", "0.0")), t=float(cfg.get("t", "0.0")))
+    rows, slope = orthopoly.compare_asymptotics(field, _ints(cfg, "n_range", "4,8,12,16"), which)
+    return rows, {"which": which, "fitted_exponent": slope}
 
 
-def cmd_toda_run(cfg: dict, out: Path) -> int:
+def cmd_toda_run(cfg: dict):
     n_weight = int(cfg.get("N", "20"))
     n_max = int(cfg.get("n_max", "32"))
     k = int(cfg.get("flow_k", "1"))
@@ -235,40 +162,63 @@ def cmd_toda_run(cfg: dict, out: Path) -> int:
     spec0 = np.linalg.eigvalsh(toda.jacobi_matrix(state))
     state = toda.flow_hierarchy(state, k, dt, steps) if steps else state
     spec1 = np.linalg.eigvalsh(toda.jacobi_matrix(state))
-    drift = float(np.max(np.abs(spec1 - spec0)))
-    table = [
-        [n + 1, g, b]
-        for n, (g, b) in enumerate(zip(state.gamma, state.beta[1:]))
-    ]
-    _write_csv(out / "toda_state.csv", ["n", "gamma", "beta"], table)
-    _write_manifest(
-        out / "toda_run.json",
-        "toda-run",
-        cfg,
-        {
-            "N": n_weight,
-            "n_max": n_max,
-            "flow_k": k,
-            "dt": dt,
-            "steps": steps,
-            "times": {str(kk): vv for kk, vv in state.times.items()},
-            "spectrum_drift": drift,
-        },
-    )
-    return 0
+    rows = [{"n": n + 1, "gamma": g, "beta": b} for n, (g, b) in enumerate(zip(state.gamma, state.beta[1:]))]
+    times = {str(kk): vv for kk, vv in state.times.items()}
+    extra = {"N": n_weight, "n_max": n_max, "flow_k": k, "dt": dt, "steps": steps, "times": times}
+    return rows, {**extra, "spectrum_drift": float(np.max(np.abs(spec1 - spec0)))}
 
 
-# subcommand -> (handler, the config keys it reads)
+# subcommand -> (handler, the config keys it reads, CSV name, manifest name,
+# CSV header, the columns that name a marked row; None: no row is marked).
+# A handler returns (rows, extra): rows keyed by CSV column, plus ``error``
+# where a row can be marked, and the manifest fields of its own.
 _COMMANDS = {
-    "kdv-phase": (cmd_kdv_phase, {"initial_data", "t_grid"}),
+    "kdv-phase": (
+        cmd_kdv_phase, {"initial_data", "t_grid"},
+        "kdv_phase.csv", "kdv_phase.json", ("t", "x_minus", "x_plus"), ("t",),
+    ),
     "kdv-compare": (
         cmd_kdv_compare,
         {"initial_data", "eps_list", "window", "t", "n_probe", "x_lo", "x_hi", "halfwidth_scale"},
+        "kdv_compare.csv", "kdv_compare.json", ("eps", "max_error"), ("eps",),
     ),
-    "rmt-phase": (cmd_rmt_phase, {"x_grid", "t_grid"}),
-    "op-table": (cmd_op_table, {"which", "x", "t", "n_range"}),
-    "toda-run": (cmd_toda_run, {"N", "n_max", "flow_k", "dt", "steps"}),
+    "rmt-phase": (
+        cmd_rmt_phase, {"x_grid", "t_grid"},
+        "rmt_phase.csv", "rmt_phase.json", ("x", "t", "class", "margin"), ("x", "t"),
+    ),
+    "op-table": (
+        cmd_op_table, {"which", "x", "t", "n_range"},
+        "op_table.csv", "op_table.json",
+        ("n", "gamma_num", "gamma_asym", "err_gamma", "beta_num", "beta_asym", "err_beta"), ("n",),
+    ),
+    "toda-run": (
+        cmd_toda_run, {"N", "n_max", "flow_k", "dt", "steps"},
+        "toda_state.csv", "toda_run.json", ("n", "gamma", "beta"), None,
+    ),
 }
+
+
+def _run(name: str, cfg: dict, out: Path, jobs: int) -> int:
+    """Validate, run one subcommand, write its table and manifest; the exit code."""
+    handler, keys, csv_name, manifest_name, header, key_columns = _COMMANDS[name]
+    unknown = sorted(set(cfg) - keys)
+    if unknown:
+        raise ValueError(f"unknown config key(s) for {name}: {', '.join(unknown)}")
+    # kdv-compare alone maps its rows on threads
+    threaded = name == "kdv-compare"
+    if jobs != 1 and not threaded:
+        raise ValueError(f"--jobs applies to kdv-compare only; {name} runs serially")
+    out.mkdir(parents=True, exist_ok=True)
+    rows, extra = handler(cfg, jobs) if threaded else handler(cfg)
+    lines = [",".join(header)] + [",".join(_fmt(r[c]) for c in header) for r in rows]
+    (out / csv_name).write_text("\n".join(lines) + "\n")
+    doc = {"command": name, "config": cfg, "config_sha256": _config_hash(cfg), **extra}
+    failures = []
+    if key_columns is not None:
+        failures = [{**{c: r[c] for c in key_columns}, "error": r["error"]} for r in rows if r["error"]]
+        doc["failures"] = failures
+    (out / manifest_name).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return 2 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -284,19 +234,8 @@ def main(argv=None) -> int:
         p.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    out = Path(args.out)
     try:
-        cfg = _parse_config(args.config)
-        command, keys = _COMMANDS[args.command]
-        unknown = sorted(set(cfg) - keys)
-        if unknown:
-            raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
-        if args.command == "kdv-compare":
-            command = functools.partial(command, jobs=args.jobs)
-        elif args.jobs != 1:
-            raise ValueError(f"--jobs applies to kdv-compare only; {args.command} runs serially")
-        out.mkdir(parents=True, exist_ok=True)
-        code = command(cfg, out)
+        code = _run(args.command, _parse_config(args.config), Path(args.out), args.jobs)
     except (ValueError, KdvrmtError) as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return 1

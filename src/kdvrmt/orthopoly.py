@@ -57,12 +57,11 @@ _R_MAX = 64.0
 class RecurrenceTable:
     """Recurrence data gamma_1..gamma_n, beta_0..beta_n, kappa_0..kappa_n.
 
+    ``n_nodes`` is the size of the rule that resolved the weight.
     ``log_kappa`` carries the leading coefficients in log form so the
     partition function stays accurate when the kappas span many decades.
     """
 
-    N: int
-    v_coeffs: np.ndarray
     gamma: np.ndarray
     beta: np.ndarray
     kappa: np.ndarray
@@ -204,8 +203,6 @@ def compute_recurrence(
     log_kappa0 = -0.5 * math.log(float(np.dot(sqrt_w, sqrt_w))) + 0.5 * n_weight * vmin
     log_kappa = log_kappa0 - np.concatenate([[0.0], np.cumsum(np.log(gamma))])
     return RecurrenceTable(
-        N=n_weight,
-        v_coeffs=coeffs,
         gamma=gamma,
         beta=beta,
         kappa=np.exp(log_kappa),

@@ -243,20 +243,18 @@ def _pi2_system(t_param: float):
 class PI2Solution:
     """Pole-free solution of the fourth-order profile equation at fixed T.
 
-    Grid values of U and its first four derivatives, plus the replay
+    Grid values of U and its first three derivatives, plus the replay
     residual of the defining equation at the interior nodes (scaled back
     to the printed form, i.e. divided by 240) and the mismatch against
     the two-term tail at the truncation points.
     """
 
     T: float
-    L: float
     x_grid: np.ndarray
     u: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
-    u4: np.ndarray
     residual_norm: float
     boundary_mismatch: float
 
@@ -406,13 +404,11 @@ def solve_pi2(t_param: float, big_l: float = 50.0, n_points: int | None = None) 
     mismatch = float(max(abs(y[0, 0] - tail[0]), abs(y[-1, 0] - tail[1])))
     return PI2Solution(
         T=t_param,
-        L=big_l,
         x_grid=x,
         u=y[:, 0],
         u1=y[:, 1],
         u2=y[:, 2],
         u3=y[:, 3],
-        u4=u4,
         residual_norm=resid,
         boundary_mismatch=mismatch,
     )

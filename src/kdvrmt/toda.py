@@ -426,7 +426,9 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
         raise GenericityError("no catastrophe candidate with t_c > 0 in the scan box")
     w0 = np.array([rp[i, 0], math.log(rp[i, 0] - rm[i, j])])
     try:
-        res = newton_solve(gfun, w0, tol=1e-10, max_iter=80, jac=gjac)
+        # an overflowing trial point raises, and the line search shortens it
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            res = newton_solve(gfun, w0, tol=1e-10, max_iter=80, jac=gjac)
     except ConvergenceError as exc:
         raise GenericityError(
             "no generic catastrophe point found for this potential/family"

@@ -405,3 +405,112 @@ class TestEntryPoint:
                 if any(f"{name}.".startswith("scipy.integrate.") for name in names):
                     offenders.append(f"{path.name}:{node.lineno}")
         assert not offenders
+
+
+class TestOutputContract:
+    """Each subcommand's CSV header, manifest keys and failure entries.
+
+    Every config marks at least one row (toda-run marks none), so each
+    failure entry is checked against the command's key columns.
+    """
+
+    COMMON = {"command", "config", "config_sha256"}
+    CASES = {
+        "kdv-phase": (
+            "t_grid = 0.25, 0.5\n",
+            "t,x_minus,x_plus",
+            {"t_c", "x_c", "rows", "failed_rows", "failures"},
+            {"t"},
+        ),
+        "kdv-compare": (
+            # sampled data: the pchip profile's spectrum cannot fall to 1e-6
+            "initial_data = csv:{profile}\nwindow = hopf\neps_list = 0.2\nn_probe = 3\n",
+            "eps,max_error",
+            {"window", "t", "failures"},
+            {"eps"},
+        ),
+        "rmt-phase": (
+            "x_grid = -2.0, 0.0\nt_grid = 9.0\n",
+            "x,t,class,margin",
+            {"rows", "failed_cells", "failures"},
+            {"x", "t"},
+        ),
+        "op-table": (
+            "which = edge\nx = 1.0\nt = 1.0\nn_range = 8, 80\n",
+            "n,gamma_num,gamma_asym,err_gamma,beta_num,beta_asym,err_beta",
+            {"which", "fitted_exponent", "failures"},
+            {"n"},
+        ),
+        "toda-run": (
+            "N = 12\nn_max = 12\nflow_k = 1\ndt = 0.002\nsteps = 10\n",
+            "n,gamma,beta",
+            {"N", "n_max", "flow_k", "dt", "steps", "times", "spectrum_drift"},
+            None,
+        ),
+    }
+    FILES = {
+        "kdv-phase": ("kdv_phase.csv", "kdv_phase.json"),
+        "kdv-compare": ("kdv_compare.csv", "kdv_compare.json"),
+        "rmt-phase": ("rmt_phase.csv", "rmt_phase.json"),
+        "op-table": ("op_table.csv", "op_table.json"),
+        "toda-run": ("toda_state.csv", "toda_run.json"),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_header_manifest_and_failure_entries(self, tmp_path, command):
+        import numpy as np
+
+        from kdvrmt import hopf
+
+        config, header, extra, key_columns = self.CASES[command]
+        xs = np.linspace(-15.0, 15.0, 401)
+        profile = tmp_path / "profile.csv"
+        np.savetxt(profile, np.column_stack([xs, hopf.make_sech2_data().u0(xs)]), delimiter=",")
+        cfg = write_config(tmp_path / "c.cfg", config.format(profile=profile))
+        out = tmp_path / "out"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        csv_name, manifest_name = self.FILES[command]
+        assert sorted(p.name for p in out.iterdir()) == sorted((csv_name, manifest_name))
+        assert (out / csv_name).read_text().splitlines()[0] == header
+        doc = json.loads((out / manifest_name).read_text())
+        assert set(doc) == self.COMMON | extra
+        assert doc["command"] == command
+        if key_columns is None:
+            assert code == 0
+            return
+        assert code == 2 and doc["failures"]
+        for failure in doc["failures"]:
+            assert set(failure) == key_columns | {"error"}
+            assert failure["error"]
+
+    def test_rmt_failed_class_exactly_when_error(self, tmp_path):
+        # the class column says "failed" on exactly the cells the manifest
+        # lists, and the sweep's rows carry an error on exactly those cells
+        from kdvrmt import rmt_eq
+
+        x_grid, t_grid = [-2.0, 0.0], [9.0]
+        rows = rmt_eq.rmt_phase_diagram(x_grid, t_grid)
+        assert [r["class"] == "failed" for r in rows] == [bool(r["error"]) for r in rows] == [True, False]
+        cfg = write_config(tmp_path / "c.cfg", "x_grid = -2.0, 0.0\nt_grid = 9.0\n")
+        assert cli.main(["rmt-phase", "--config", cfg, "--out", str(tmp_path)]) == 2
+        lines = (tmp_path / "rmt_phase.csv").read_text().strip().splitlines()[1:]
+        failed = [tuple(map(float, ln.split(",")[:2])) for ln in lines if ln.split(",")[2] == "failed"]
+        doc = json.loads((tmp_path / "rmt_phase.json").read_text())
+        assert [(f["x"], f["t"]) for f in doc["failures"]] == failed == [(-2.0, 9.0)]
+        assert doc["failed_cells"] == 1 and doc["rows"] == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["window = hopf\nt = 0.1\neps_list = 0.2, 0.1\nn_probe = 11\n", "window = leading\nt = 0.3\neps_list = 0.2, 0.15\n"],
+    ids=["hopf", "leading"],
+)
+def test_jobs_threads_write_the_serial_files(tmp_path, config):
+    # kdv-compare maps its eps list on K threads; the rows, their order and
+    # the manifest must not depend on K
+    cfg = write_config(tmp_path / "c.cfg", config)
+    serial, threaded = tmp_path / "serial", tmp_path / "threaded"
+    assert cli.main(["kdv-compare", "--config", cfg, "--out", str(serial), "--jobs", "1"]) == 0
+    assert cli.main(["kdv-compare", "--config", cfg, "--out", str(threaded), "--jobs", "2"]) == 0
+    names = ("kdv_compare.csv", "kdv_compare.json")
+    assert read_bytes(*(serial / n for n in names)) == read_bytes(*(threaded / n for n in names))

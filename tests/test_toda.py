@@ -235,6 +235,13 @@ class TestCatastrophe:
         with pytest.raises(GenericityError):
             toda.catastrophe_constants([0.0, 0.0, 0.5, -0.1])
 
+    def test_overflowing_trial_points_raise_the_typed_error(self):
+        # the plus-family Newton of this quartic overflows at trial points;
+        # that shortens the step instead of warning, and the stalled search
+        # is reported as non-generic
+        with pytest.raises(GenericityError):
+            toda.catastrophe_constants([0.0, 0.0, 0.3, 0.0, 0.1], family="plus")
+
 
 class TestPotential:
     def test_gaussian_polynomial(self):
