@@ -160,7 +160,7 @@ def cmd_toda_run(cfg: dict):
     steps = int(cfg.get("steps", "0"))
     state = toda.gaussian_state(n_weight, n_max)
     spec0 = np.linalg.eigvalsh(toda.jacobi_matrix(state))
-    state = toda.flow_hierarchy(state, k, dt, steps) if steps else state
+    state = toda.flow_hierarchy(state, k, dt, steps)
     spec1 = np.linalg.eigvalsh(toda.jacobi_matrix(state))
     rows = [{"n": n + 1, "gamma": g, "beta": b} for n, (g, b) in enumerate(zip(state.gamma, state.beta[1:]))]
     times = {str(kk): vv for kk, vv in state.times.items()}

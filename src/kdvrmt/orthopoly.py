@@ -359,6 +359,8 @@ def compare_asymptotics(f: QuarticField, n_range: Sequence[int], which: str) -> 
     """
     if which not in ("regular", "interior", "edge"):
         raise DomainError("which must be regular | interior | edge")
+    if any(n < 1 for n in n_range):
+        raise DomainError(f"n_range entries must be >= 1, got {min(n_range)}")
     rows = []
     if which == "regular":
         # without a one-cut solution every row keeps its numeric values

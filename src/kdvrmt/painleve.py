@@ -364,6 +364,7 @@ def solve_pi2(t_param: float, big_l: float = 50.0, n_points: int | None = None) 
     t_param = float(t_param)
     if n_points is not None and not 200 <= n_points <= _MAX_NODES:
         raise DomainError(f"need 200 <= n_points <= {_MAX_NODES}")
+    n_points = None if n_points is None else int(n_points)
     if big_l <= 1.0:
         raise DomainError("need L > 1")
     lead = (6.0 * big_l) ** (1.0 / 3.0)
@@ -425,16 +426,12 @@ def eval_pi2_ext(sol: PI2Solution, x):
     return _eval_grid(sol.x_grid, sol.u, sol.u1, x, lambda xo: pi2_asymptote(xo, sol.T))
 
 
+@lru_cache(maxsize=16)
 def pi2_solution_cached(t_param: float, big_l: float = 50.0, n_points: int | None = None) -> PI2Solution:
-    """Memoized ``solve_pi2`` keyed on the exact argument triple.
+    """Memoized ``solve_pi2`` keyed on the arguments as passed.
 
     The 16 most recently used solutions are kept.
     """
-    return _pi2_cached(float(t_param), float(big_l), None if n_points is None else int(n_points))
-
-
-@lru_cache(maxsize=16)
-def _pi2_cached(t_param: float, big_l: float, n_points: int | None) -> PI2Solution:
     return solve_pi2(t_param, big_l, n_points)
 
 

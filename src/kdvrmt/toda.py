@@ -13,6 +13,7 @@ x = lambda_{+-} t + f_{+-}(r_+, r_-) of the dispersionless system, with f
 built from the residue of V0'(xi) sqrt((xi - r_+)(xi - r_-)) at infinity,
 expanded symbolically for polynomial V0.  The overall sign of the residue
 is pinned by the Gaussian consistency (gamma^2 = x, beta = 0 at t = 0).
+Its continuum check on sampled lattice states is in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -36,8 +37,6 @@ __all__ = [
     "string_residual",
     "hodograph_potential",
     "hodograph_solve",
-    "state_from_hodograph",
-    "continuum_residual",
     "catastrophe_constants",
     "CatastropheData",
 ]
@@ -95,6 +94,8 @@ def flow_hierarchy(state: TodaState, k: int, dt: float, steps: int) -> TodaState
     """
     if k < 1:
         raise DomainError("hierarchy flows need k >= 1")
+    if not math.isfinite(dt):
+        raise DomainError(f"dt must be finite, got {dt}")
     if steps < 0:
         raise DomainError("steps must be >= 0")
     if steps == 0:
@@ -263,59 +264,6 @@ def hodograph_solve(x: float, t: float, v0_coeffs, seed=None) -> HodographPoint:
     return HodographPoint(x=x, t=t, r_plus=rp, r_minus=rm, lambda_plus=lp, lambda_minus=lm)
 
 
-def state_from_hodograph(v0_coeffs, t: float, eps: float, n_max: int) -> TodaState:
-    """Sample the hodograph solution on the lattice x = eps n.
-
-    gamma(x) = (r_+ - r_-)/4 and beta(x) = -(r_+ + r_-)/2 (the Riemann
-    invariants are r_{+-} = v +- 2 e^{w/2} with v = -beta at leading order).
-    """
-    gamma = np.empty(n_max)
-    beta = np.empty(n_max + 1)
-    prev = None
-    for n in range(1, n_max + 1):
-        pt = hodograph_solve(eps * n, t, v0_coeffs, seed=prev)
-        prev = (pt.r_plus, pt.r_minus)
-        gamma[n - 1] = (pt.r_plus - pt.r_minus) / 4.0
-        beta[n] = -(pt.r_plus + pt.r_minus) / 2.0
-    beta[0] = beta[1]
-    return TodaState(eps=eps, gamma=gamma, beta=beta, times={1: t})
-
-
-def continuum_residual(state: TodaState) -> float:
-    """Defect of the first-order continuum truncation on smooth interpolants.
-
-    The lattice right-hand sides (v_n - v_{n-1})/eps and
-    (e^{u_{n+1}} - e^{u_n})/eps are compared against v_x - (eps/2) v_xx
-    and e^u u_x + (eps/2)(e^u)_xx evaluated by differentiating cubic
-    splines through the lattice data; for smooth profiles the defect is
-    O(eps^2).  Nodes within 12% of the lattice of either truncation end
-    are excluded.
-    """
-    from scipy.interpolate import CubicSpline
-
-    eps = state.eps
-    m = state.n_max
-    x_u = eps * np.arange(1, m + 1)  # u_n lives at n = 1..m
-    u = np.log(state.gamma**2)
-    x_v = eps * np.arange(0, m + 1)  # v_n lives at n = 0..m
-    v = -state.beta
-    spl_v = CubicSpline(x_v, v)
-    spl_u = CubicSpline(x_u, u)
-    spl_eu = CubicSpline(x_u, np.exp(u))
-
-    lo = max(2, int(0.12 * m))
-    hi = m - max(2, int(0.12 * m))
-    worst = 0.0
-    for n in range(lo, hi):  # n <= m-1, so u[n] = u_{n+1} is in range
-        x = eps * n
-        lattice_u = (v[n] - v[n - 1]) / eps
-        pde_u = float(spl_v(x, 1)) - 0.5 * eps * float(spl_v(x, 2))
-        lattice_v = (math.exp(u[n]) - math.exp(u[n - 1])) / eps
-        pde_v = math.exp(u[n - 1]) * float(spl_u(x, 1)) + 0.5 * eps * float(spl_eu(x, 2))
-        worst = max(worst, abs(lattice_u - pde_u), abs(lattice_v - pde_v))
-    return worst
-
-
 @dataclass(frozen=True)
 class CatastropheData:
     """Located hodograph catastrophe with its scaling constants."""
@@ -347,25 +295,15 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
     """
     if family not in ("plus", "minus"):
         raise DomainError("family must be 'plus' or 'minus'")
+    ax = ("plus", "minus").index(family)  # the axis of the breaking invariant
     f = hodograph_potential(v0_coeffs)
     f_p = f.diff(0)
     f_m = f.diff(1)
     f_pp = f_p.diff(0)
     f_mm = f_m.diff(1)
-    if family == "plus":
-        f_brk2 = f_pp
-        f_brk3 = f_pp.diff(0)
-        f_brk4 = f_pp.diff(0).diff(0)
-        f_oth2 = f_mm
-    else:
-        f_brk2 = f_mm
-        f_brk3 = f_mm.diff(1)
-        f_brk4 = f_mm.diff(1).diff(1)
-        f_oth2 = f_pp
-
-    def t_of(rp, rm):
-        return 4.0 * float(f_brk2(rp, rm))
-
+    f_brk2, f_oth2 = (f_pp, f_mm)[ax], (f_mm, f_pp)[ax]
+    f_brk3 = f_brk2.diff(ax)
+    f_brk4 = f_brk3.diff(ax)
     f_brk3_p = f_brk3.diff(0)
     f_brk3_m = f_brk3.diff(1)
     f_brk2_p = f_brk2.diff(0)
@@ -439,24 +377,20 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
         raise GenericityError(
             "catastrophe solve collapsed onto the degenerate diagonal r_+ = r_-"
         )
-    t_c = t_of(rp, rm)
+    t_c = 4.0 * float(f_brk2(rp, rm))
     if t_c <= 0.0:
         raise GenericityError("catastrophe time is not positive")
     lp, lm = _lambdas(rp, rm)
-    if family == "plus":
-        x_c = lp * t_c + float(f_p(rp, rm))
-        lam_brk_slope, lam_gap = -0.25, lp - lm
-    else:
-        x_c = lm * t_c + float(f_m(rp, rm))
-        lam_brk_slope, lam_gap = -0.25, lm - lp
+    lam_brk, lam_oth = (lp, lm)[ax], (lm, lp)[ax]
+    x_c = lam_brk * t_c + float((f_p, f_m)[ax](rp, rm))
 
     quart = float(f_brk4(rp, rm))
     c1 = float(f_oth2(rp, rm)) - t_c / 4.0
     if abs(quart) < 1e-10 or abs(c1) < 1e-10:
         raise GenericityError("higher-order nondegeneracy fails at the located point")
-    c2 = lam_brk_slope / lam_gap
+    c2 = -0.25 / (lam_brk - lam_oth)  # -1/4: the breaking speed's slope in its invariant
     c3 = quart / 6.0
-    c4 = ((rp - rm) / (lm - lp) if family == "plus" else (rm - rp) / (lp - lm)) / 192.0
+    c4 = (rp - rm) / (lm - lp) / 192.0
     return CatastropheData(
         r_plus=rp, r_minus=rm, t_c=t_c, x_c=x_c, c1=c1, c2=c2, c3=c3, c4=c4
     )

@@ -205,6 +205,14 @@ class TestOpTable:
         assert [f["n"] for f in doc["failures"]] == [80]
         assert "outside the solved domain" in doc["failures"][0]["error"]
 
+    def test_size_below_one_rejected(self, tmp_path, capsys):
+        # n = 0 has no recurrence coefficient to compare: a config error,
+        # not a marked row
+        cfg = write_config(tmp_path / "c.cfg", "n_range = 0, 4\n")
+        assert cli.main(["op-table", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "n_range" in capsys.readouterr().err
+        assert not (tmp_path / "op_table.csv").exists()
+
     def test_regular_without_onecut_marks_rows(self, tmp_path):
         # x = x* + 1 on t = 9 has no one-cut solution: the numeric columns
         # stay, the one-cut limit columns are NaN and every row names it
@@ -224,6 +232,18 @@ class TestOpTable:
 
 
 class TestTodaRun:
+    def test_flow_is_validated_without_steps(self, tmp_path, capsys):
+        # steps = 0 runs no flow, but flow_k still has to name one
+        cfg = write_config(tmp_path / "c.cfg", "flow_k = 0\nsteps = 0\n")
+        assert cli.main(["toda-run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "k >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "toda_run.json").exists()
+
+    def test_non_finite_dt_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.cfg", "dt = nan\nsteps = 5\n")
+        assert cli.main(["toda-run", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "dt must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text,message",
         [("N = 0\n", "N must be >= 1"), ("N = -5\n", "N must be >= 1"), ("n_max = 0\n", "n_max must be >= 1")],

@@ -55,11 +55,13 @@ class TestCompleteElliptic:
         kp, ep = core.complete_elliptic(sp)
         assert abs(e * kp + ep * k - k * kp - math.pi / 2.0) < 1e-10
 
-    def test_against_mpmath_oracle(self):
-        k, e = core.complete_elliptic(0.9)
-        k_ref, e_ref = elliptic_by_mpmath(0.9)
-        assert k == pytest.approx(k_ref, rel=1e-12)
-        assert e == pytest.approx(e_ref, rel=1e-12)
+    # near s = 1 the oracle's own float s * s moves K by 7e-13
+    @pytest.mark.parametrize("s,rel", [(0.9, 1e-12), (0.999999, 1e-11)])
+    def test_against_mpmath_oracle(self, s, rel):
+        k, e = core.complete_elliptic(s)
+        k_ref, e_ref = elliptic_by_mpmath(s)
+        assert k == pytest.approx(k_ref, rel=rel)
+        assert e == pytest.approx(e_ref, rel=rel)
 
     def test_domain_error_at_one(self):
         with pytest.raises(DomainError):
@@ -101,17 +103,30 @@ class TestTheta3:
         ref = theta3_direct(z, im_tau, n_terms=2000)
         assert abs(val - ref) < 1e-14
 
-    def test_derivative_matches_finite_difference(self):
+    # differences of the order-``base`` series against orders base + 1, base + 2
+    @pytest.mark.parametrize("base", [0, 2])
+    def test_derivative_matches_finite_difference(self, base):
         z, tau = 0.13, 0.7j
         h = 1e-5
-        fd1 = (core.theta3(z + h, tau) - core.theta3(z - h, tau)) / (2 * h)
-        assert core.theta3(z, tau, dz=1) == pytest.approx(fd1, rel=1e-8, abs=1e-9)
-        fd2 = (core.theta3(z + h, tau) - 2 * core.theta3(z, tau) + core.theta3(z - h, tau)) / h**2
-        assert core.theta3(z, tau, dz=2) == pytest.approx(fd2, rel=1e-6)
+        fd1 = (core.theta3(z + h, tau, base) - core.theta3(z - h, tau, base)) / (2 * h)
+        assert core.theta3(z, tau, dz=base + 1) == pytest.approx(fd1, rel=1e-8, abs=1e-9)
+        fd2 = (
+            core.theta3(z + h, tau, base) - 2 * core.theta3(z, tau, base) + core.theta3(z - h, tau, base)
+        ) / h**2
+        assert core.theta3(z, tau, dz=base + 2) == pytest.approx(fd2, rel=1e-6)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
             core.theta3(0.0, -0.3j)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError, match="derivative order"):
+            core.theta3(0.1, 1j, -4)
+
+    def test_tau_near_real_axis_raises(self):
+        # T = 1e-7 needs about 11,000 terms for the 1e-17 tail
+        with pytest.raises(AccuracyError):
+            core.theta3(0.1, 1e-7j)
 
 
 class TestQuadratureRules:

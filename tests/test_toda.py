@@ -6,7 +6,25 @@ import pytest
 from kdvrmt import orthopoly, rmt_eq, toda
 from kdvrmt.errors import DomainError, GenericityError, PrecisionError
 
-from oracles import toda_rk4
+from oracles import continuum_residual, toda_rk4
+
+
+def state_from_hodograph(v0_coeffs, t: float, eps: float, n_max: int) -> toda.TodaState:
+    """Sample the hodograph solution on the lattice x = eps n.
+
+    gamma(x) = (r_+ - r_-)/4 and beta(x) = -(r_+ + r_-)/2 (the Riemann
+    invariants are r_{+-} = v +- 2 e^{w/2} with v = -beta at leading order).
+    """
+    gamma = np.empty(n_max)
+    beta = np.empty(n_max + 1)
+    prev = None
+    for n in range(1, n_max + 1):
+        pt = toda.hodograph_solve(eps * n, t, v0_coeffs, seed=prev)
+        prev = (pt.r_plus, pt.r_minus)
+        gamma[n - 1] = (pt.r_plus - pt.r_minus) / 4.0
+        beta[n] = -(pt.r_plus + pt.r_minus) / 2.0
+    beta[0] = beta[1]
+    return toda.TodaState(eps=eps, gamma=gamma, beta=beta, times={1: t})
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +193,7 @@ class TestContinuumLimit:
         st = toda.TodaState(eps=eps, gamma=np.exp(u / 2.0), beta=beta, times={})
         # v linear: first differences are exact; residual carries only the
         # curvature of e^u, which is O(eps^2)
-        assert toda.continuum_residual(st) < 10.0 * eps**2
+        assert continuum_residual(st) < 10.0 * eps**2
 
     def test_eps_refinement_slope(self):
         # tilted quartic so that both lattice fields have genuine
@@ -185,16 +203,16 @@ class TestContinuumLimit:
         res = []
         eps_list = (0.04, 0.02, 0.01)
         for eps in eps_list:
-            st = toda.state_from_hodograph(v0, 0.7, eps, int(4.0 / eps))
-            res.append(toda.continuum_residual(st))
+            st = state_from_hodograph(v0, 0.7, eps, int(4.0 / eps))
+            res.append(continuum_residual(st))
         slope = np.polyfit(np.log(eps_list), np.log(res), 1)[0]
         assert 1.6 < slope < 2.4
 
     def test_hodograph_state_residual_bound(self):
         eps = 0.02
         for v0, t1 in (([0.0, 0.0, 0.5], 0.5), ([0.0, 0.0, 0.0, 0.0, 1.0], 0.7)):
-            st = toda.state_from_hodograph(v0, t1, eps, 200)
-            assert toda.continuum_residual(st) < 10.0 * eps**2
+            st = state_from_hodograph(v0, t1, eps, 200)
+            assert continuum_residual(st) < 10.0 * eps**2
 
 
 class TestCatastrophe:
@@ -228,6 +246,27 @@ class TestCatastrophe:
             float(f_pp(cd.r_plus, cd.r_minus)) - cd.t_c / 4.0, abs=1e-9
         )
         assert cd.c3 == pytest.approx(float(f_m4(cd.r_plus, cd.r_minus)) / 6.0, abs=1e-9)
+
+    def test_plus_family_located_point(self):
+        # the mirror case: for this quartic the r_+ invariant breaks first
+        v0 = [0.0, 0.0, 0.5, -4.0 / 15.0, 0.05]
+        cd = toda.catastrophe_constants(v0, family="plus")
+        assert cd.r_plus == pytest.approx(1.5441518440112243, abs=1e-12)
+        assert cd.r_minus == pytest.approx(0.27924077994387453, abs=1e-12)
+        assert cd.t_c == pytest.approx(0.3477063388424491, abs=1e-12)
+        assert cd.c4 == 1.0 / 96.0
+        # replay the defining pair and the branch consistency at the point
+        f = toda.hodograph_potential(v0)
+        f_p, f_m = f.diff(0), f.diff(1)
+        f_pp = f_p.diff(0)
+        rp, rm = cd.r_plus, cd.r_minus
+        assert abs(float(f_pp.diff(0)(rp, rm))) < 1e-12
+        assert cd.t_c == 4.0 * float(f_pp(rp, rm))
+        consistency = float(f_p(rp, rm)) - float(f_m(rp, rm)) - 2.0 * (rp - rm) * float(f_pp(rp, rm))
+        assert abs(consistency) < 1e-12
+        # x_c on the r_+ branch, c2 = (speed slope -1/4) / (lambda_+ - lambda_-)
+        assert cd.x_c == pytest.approx(-(rp - rm) / 4.0 * cd.t_c + float(f_p(rp, rm)), abs=1e-14)
+        assert cd.c2 == pytest.approx(0.5 / (rp - rm), rel=1e-14)
 
     def test_cubic_perturbation_has_no_generic_point(self):
         # for a cubic tilt the two defining curves meet only on the
