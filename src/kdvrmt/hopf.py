@@ -313,10 +313,10 @@ def _theta_kernel(lam: np.ndarray, u: float, deriv_fn, power: int):
     """The quadrature itself, for a float64 ``lam`` of any shape.
 
     ``core.doubling_quadrature`` climbs the (-1/2, 0) ladder.  Each rule
-    walks the flattened ``lam`` in blocks of about ``_BLOCK`` integrand
-    values, so no (lam x n) array is formed, and contracts each block with
-    the weights (((1+m)/2)^power folded in) by ``einsum``, off BLAS, whose
-    threads cost CPU time here and save no wall time.
+    contracts the integrand with the weights (((1+m)/2)^power folded in) by
+    ``einsum``, off BLAS, whose threads cost CPU time here and save no wall
+    time: a scalar ``lam`` in one call, an array in blocks of about
+    ``_BLOCK`` integrand values, so no (lam x n) array is formed.
     """
     u = float(u)
     if not (-1.0 < u < 0.0 and np.all((lam > -1.0) & (lam < 0.0))):
@@ -328,6 +328,9 @@ def _theta_kernel(lam: np.ndarray, u: float, deriv_fn, power: int):
     def integrate(rule):
         b, a = 0.5 * (1.0 + rule.nodes), 0.5 * (1.0 - rule.nodes) * u
         w = rule.weights * b**power if power else rule.weights
+        if lam.ndim == 0:
+            f = np.asarray(deriv_fn(lam * b + a), dtype=float)
+            return _INV_2SQRT2 * np.einsum("j,j->", f, w)
         sums = np.empty(flat.shape[0])
         rows = max(1, _BLOCK // rule.nodes.size)
         for i in range(0, flat.shape[0], rows):

@@ -426,12 +426,14 @@ def eval_pi2_ext(sol: PI2Solution, x):
     return _eval_grid(sol.x_grid, sol.u, sol.u1, x, lambda xo: pi2_asymptote(xo, sol.T))
 
 
-@lru_cache(maxsize=16)
 def pi2_solution_cached(t_param: float, big_l: float = 50.0, n_points: int | None = None) -> PI2Solution:
-    """Memoized ``solve_pi2`` keyed on the arguments as passed.
+    """Memoized ``solve_pi2`` keyed on (float(T), float(L), n_points), however
+    the arguments are written; the 16 most recently used solutions are kept."""
+    return _pi2_cached(float(t_param), float(big_l), n_points)
 
-    The 16 most recently used solutions are kept.
-    """
+
+@lru_cache(maxsize=16)
+def _pi2_cached(t_param: float, big_l: float, n_points: int | None) -> PI2Solution:
     return solve_pi2(t_param, big_l, n_points)
 
 

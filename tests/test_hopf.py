@@ -275,6 +275,13 @@ class TestThetaBlocks:
             assert type(val) is type(ref) and np.shape(val) == np.shape(ref)
             assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("fn", [hopf.theta_of, hopf.theta_v, hopf.theta_vv])
+    def test_scalar_path_is_bitwise_the_blocked_row(self, data, fn):
+        # a 0-d lam takes the one-row contraction, which keeps the blocked
+        # summation, so edge solves on scalars see the array values exactly
+        for lam, u in ((-0.45, -0.7), (-0.3, -0.95), (-0.9, -0.2)):
+            assert fn(lam, u, data) == fn(np.array([lam]), u, data)[0]
+
     def test_trailing_rule_peak_memory(self, data, trailing_lam):
         # the one-shot form holds a 768 x 3,072 integrand (18 MiB) and its
         # temporaries; the blocked kernel holds one block at a time

@@ -76,7 +76,7 @@ class TestSolveKdV:
 
         def run(steps):
             h = np.array([[t_final / steps]])
-            c = kdv_direct._etd_coefficients(h, 1j * eps**2 * k**3)[:, 0]
+            c = kdv_direct._etd_coefficients(h, 1j * eps**2 * k**3, 1.0)[:, 0]
             v = sfft.rfft(u0)
             for _ in range(steps):
                 v = kdv_direct._etdrk4(v, nonlinear(v), c, nonlinear)
@@ -86,6 +86,43 @@ class TestSolveKdV:
         errs = [float(np.max(np.abs(run(s) - ref))) for s in (8, 16, 32, 64)]
         ratios = [errs[i] / errs[i + 1] for i in range(3)]
         assert all(14.0 < r < 18.0 for r in ratios), ratios
+
+    def test_folded_step_is_textbook_krogstad(self, data):
+        # the solver's step (derivative in the weights, stage sums in place,
+        # nonlinear term rfft(u^2) of a dealiased state) against Krogstad's
+        # stages written out with the derivative inside the nonlinear term
+        n, big_p, eps = 2048, 15.0, 0.1
+        dx = 2.0 * big_p / n
+        k = 2.0 * math.pi * sfft.rfftfreq(n, d=dx)
+        dealias = (k <= (2.0 / 3.0) * k[-1]).astype(float)
+        grad, lin = -3j * k * dealias, 1j * eps**2 * k**3
+        v = sfft.rfft(data.u0(-big_p + dx * np.arange(n))) * dealias
+
+        def square(v_hat):
+            w = sfft.irfft(v_hat, n)
+            return sfft.rfft(w * w)
+
+        def textbook(v_hat):
+            w = sfft.irfft(v_hat * dealias, n)
+            return grad * sfft.rfft(w * w)
+
+        h = np.array([[0.4 * 2.0**-11], [0.4 * 2.0**-12]])
+        got = kdv_direct._etdrk4(v, square(v), kdv_direct._etd_coefficients(h, lin, grad), square)
+        for row, c in enumerate(kdv_direct._etd_coefficients(h, lin, 1.0).transpose(1, 0, 2)):
+            e, e_half, a1, a2, b1, b2, f1, f2, f3 = c
+            nv = textbook(v)
+            a = e_half * v + a1 * nv
+            na = textbook(a)
+            nb = textbook(a + a2 * (na - nv))
+            nc = textbook(e * v + b1 * nv + b2 * (nb - nv))
+            want = e * v + f1 * nv + f2 * (na + nb) + f3 * nc
+            assert np.max(np.abs(got[row] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_step_sequence_pinned(self, data):
+        # a per-step rewrite may not move the step controller
+        field = kdv_direct.solve_kdv(data, eps=0.2, t_final=0.1)
+        assert field.n_steps == 149
+        assert field.err_est == pytest.approx(1.5963835190496536e-10, rel=1e-6)
 
     def test_error_estimate_bounds_true_error(self, data):
         ref = kdv_direct.solve_kdv(data, eps=0.1, t_final=0.4)

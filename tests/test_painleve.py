@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -223,6 +224,24 @@ class TestPI2:
         # the least recently used entry was evicted and is solved again
         painleve.pi2_solution_cached(keys[0], 50.0, 1001)
         assert len(calls) == 18
+
+    def test_cache_keys_on_values_not_spelling(self, monkeypatch):
+        calls = []
+
+        def counting_solve(t_param, big_l, n_points):
+            calls.append((t_param, big_l, n_points))
+            return t_param
+
+        monkeypatch.setattr(painleve, "solve_pi2", counting_solve)
+        # a fresh cache, so the shared one keeps no counting entry
+        monkeypatch.setattr(
+            painleve, "_pi2_cached", functools.lru_cache(maxsize=16)(painleve._pi2_cached.__wrapped__)
+        )
+        painleve.pi2_solution_cached(0.0)
+        painleve.pi2_solution_cached(0.0, 50.0)
+        painleve.pi2_solution_cached(0.0, big_l=50.0)
+        painleve.pi2_solution_cached(0, 50, None)
+        assert calls == [(0.0, 50.0, None)]
 
     def test_derivative_consistency(self, pi2_t0):
         # stored first derivative matches a finite difference of u
