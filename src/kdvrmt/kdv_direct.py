@@ -69,40 +69,29 @@ def _phi(z: np.ndarray) -> list:
     return out
 
 
-def _etd_coefficients(h: np.ndarray, lin: np.ndarray, grad: np.ndarray | float) -> np.ndarray:
+def _etd_coefficients(h: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """Krogstad ETDRK4 coefficients for a column h of steps: e^{hL}, e^{hL/2},
-    then, each times ``grad`` (the derivative the nonlinear term takes), the
-    stage weights h/2 phi_1(hL/2), h phi_2(hL/2), h phi_1(hL), 2h phi_2(hL)
+    the stage weights h/2 phi_1(hL/2), h phi_2(hL/2), h phi_1(hL), 2h phi_2(hL)
     and the final weights h (phi_1 - 3 phi_2 + 4 phi_3, 2 phi_2 - 4 phi_3,
     4 phi_3 - phi_2)."""
     z = h * lin
     p1, p2, p3 = _phi(z)
     q1, q2, _ = _phi(z / 2.0)
-    c = np.array([
+    return np.array([
         np.exp(z), np.exp(z / 2.0), h / 2.0 * q1, h * q2, h * p1, 2.0 * h * p2,
         h * (p1 - 3.0 * p2 + 4.0 * p3), 2.0 * h * (p2 - 2.0 * p3), h * (4.0 * p3 - p2),
     ])
-    c[2:] *= grad
-    return c
 
 
 def _etdrk4(v, nv, c, nonlinear):
-    """One Krogstad ETDRK4 step from v, with nv = nonlinear(v) and coefficients c;
-    each stage input is summed in place."""
+    """One Krogstad ETDRK4 step from v, with nv = nonlinear(v) and coefficients c."""
     e, e_half, a1, a2, b1, b2, f1, f2, f3 = c
-    s = e_half * v
-    s += a1 * nv
-    na = nonlinear(s)
-    s += a2 * (na - nv)
-    nb = nonlinear(s)
     ev = e * v
-    s = ev + b1 * nv
-    s += b2 * (nb - nv)
-    nc = nonlinear(s)
-    ev += f1 * nv
-    ev += f2 * (na + nb)
-    ev += f3 * nc
-    return ev
+    a = e_half * v + a1 * nv
+    na = nonlinear(a)
+    nb = nonlinear(a + a2 * (na - nv))
+    nc = nonlinear(ev + b1 * nv + b2 * (nb - nv))
+    return ev + f1 * nv + f2 * (na + nb) + f3 * nc
 
 
 def solve_kdv(
@@ -179,7 +168,7 @@ def solve_kdv(
     dealias = (k <= (2.0 / 3.0) * k[-1]).astype(float)
     grad = -3j * k * dealias
 
-    # masked once, every stage input stays dealiased; grad rides in the weights
+    # masked once, every stage input stays dealiased; at() puts grad in the weights
     v = sfft.rfft(u) * dealias
     mass0 = v[0].real * dx
     l2_0 = float(np.sum(u * u)) * dx
@@ -215,7 +204,9 @@ def solve_kdv(
         if h not in coeffs:
             if len(coeffs) == 4:
                 del coeffs[next(iter(coeffs))]
-            coeffs[h] = _etd_coefficients(np.array([[h], [h / 2.0]]), lin, grad)
+            c = _etd_coefficients(np.array([[h], [h / 2.0]]), lin)
+            c[2:] *= grad
+            coeffs[h] = c
         return coeffs[h]
 
     rung = 0
@@ -226,8 +217,6 @@ def solve_kdv(
     abs_tol = atol * math.sqrt(n)
     err_est = 0.0
     n_steps = attempts = 0
-    # a rejected attempt restarts from the same v, so it keeps nv
-    nv = nonlinear(v)
     while left > 0.0:
         # a rejected non-finite trial shrinks the step, down to a floor
         if attempts == 2_000_000 or rung > 80:
@@ -236,6 +225,7 @@ def solve_kdv(
         # the last step is clipped to land on t_final
         h = min(t_final * 2.0 ** (-rung / 2), left)
         c = at(h)
+        nv = nonlinear(v)
         full, mid = _etdrk4(v, nv, c, nonlinear)
         two = _etdrk4(mid, nonlinear(mid), c[:, 1], nonlinear)
         corr = (two - full) / 15.0
@@ -248,7 +238,6 @@ def solve_kdv(
             n_steps += 1
             err_est += corr_norm
             check(v)
-            nv = nonlinear(v)
         # the error scales as h^5: move to the rung of 0.9 err^(-1/5) h,
         # at most one octave either way; a non-finite trial moves one down
         grow = 0.9 * max(err, 1e-3) ** -0.2 if math.isfinite(err) else 0.5

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -233,15 +232,12 @@ class TestPI2:
             return t_param
 
         monkeypatch.setattr(painleve, "solve_pi2", counting_solve)
-        # a fresh cache, so the shared one keeps no counting entry
-        monkeypatch.setattr(
-            painleve, "_pi2_cached", functools.lru_cache(maxsize=16)(painleve._pi2_cached.__wrapped__)
-        )
-        painleve.pi2_solution_cached(0.0)
-        painleve.pi2_solution_cached(0.0, 50.0)
-        painleve.pi2_solution_cached(0.0, big_l=50.0)
-        painleve.pi2_solution_cached(0, 50, None)
-        assert calls == [(0.0, 50.0, None)]
+        # a T no real solve uses, so the shared cache keeps no stub it serves
+        painleve.pi2_solution_cached(200.0)
+        painleve.pi2_solution_cached(200.0, 50.0)
+        painleve.pi2_solution_cached(200.0, big_l=50.0)
+        painleve.pi2_solution_cached(200, 50, None)
+        assert calls == [(200.0, 50.0, None)]
 
     def test_derivative_consistency(self, pi2_t0):
         # stored first derivative matches a finite difference of u
