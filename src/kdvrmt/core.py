@@ -3,13 +3,14 @@
 Everything here is a pure function of its inputs, and the package's two
 solver primitives live here alone: ``doubling_quadrature`` climbs the
 Gauss-Jacobi ladders of ``_jacobi_rules.npz`` (``roots_jacobi``'s own output,
-read on first use) to a 1e-10 stop, and ``newton_solve`` is the one damped
-Newton loop.  It hands ``jac(x, fx)`` the residual it holds, takes the
-linear step from ``solve`` (dense for the edge, Toda and one-cut systems,
-banded for ``painleve``'s collocation), and stops at the rounding floor of
-the residual.  The bounded ``lru_cache``s under the edge kernels,
-this module's read-only rules and ``hopf``'s theta memo, hand out no shared
-mutable object, so concurrent use from several threads is safe.
+read on first use) to a 1e-10 stop, after a caller's probe rows when it
+has them, and ``newton_solve`` is the one damped Newton loop.  It hands
+``jac(x, fx)`` the residual it holds, takes the linear step from ``solve``
+(dense for the edge, Toda and one-cut systems, banded for ``painleve``'s
+collocation), and stops at the rounding floor of the residual.  The
+bounded ``lru_cache``s under the edge kernels, this module's read-only
+rules and ``hopf``'s theta memo, hand out no shared mutable object, so
+concurrent use from several threads is safe.
 """
 from __future__ import annotations
 
@@ -183,17 +184,33 @@ def gauss_jacobi_rule(n: int, alpha: float, beta: float) -> QuadratureRule:
     return QuadratureRule(nodes=x, weights=w)
 
 
-def doubling_quadrature(alpha: float, beta: float, integrate: Callable, what: str):
+def doubling_quadrature(
+    alpha: float, beta: float, integrate: Callable, what: str, probe: Callable | None = None
+):
     """Climb the ``_JACOBI_LADDERS[(alpha, beta)]`` rules until two agree.
 
     Returns the first ``integrate(rule)``, a float or an array, within 1e-10
     (max-abs) of its predecessor; at the cap, AccuracyError names ``what``.
+    ``probe(rule)`` may return a few entries of ``integrate(rule)``, bitwise
+    as it computes them.  Their largest change bounds the whole array's from
+    below, so the probe climbs first: ``integrate`` starts one rung below
+    the probe's first agreement, and a probe that never agrees raises the
+    cap's AccuracyError without it.  The value and the error are the plain
+    climb's.
     """
+    ladder = _JACOBI_LADDERS[(alpha, beta)]
+    if probe is not None:
+        ladder = ladder[_climb(ladder, alpha, beta, probe, what)[0] - 1 :]
+    return _climb(ladder, alpha, beta, integrate, what)[1]
+
+
+def _climb(ladder: tuple, alpha: float, beta: float, integrate: Callable, what: str):
+    """(index, value) of the first rung of ``ladder`` within 1e-10 of the one before."""
     prev = None
-    for n in _JACOBI_LADDERS[(alpha, beta)]:
+    for i, n in enumerate(ladder):
         val = integrate(gauss_jacobi_rule(n, alpha, beta))
         if prev is not None and np.max(np.abs(val - prev)) < 1e-10:
-            return val
+            return i, val
         prev = val
     raise AccuracyError(f"{what} did not converge under node doubling up to {n} nodes")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -287,6 +287,7 @@ _BLOCK = 2**14
 # has; 32 entries save 99 % of what an unbounded memo would (CHANGES.md).
 _MEMO_ENTRIES = 32
 _MEMO_MAX_LAM = 1024  # larger lam arrays are computed and not stored
+_PROBE_MIN = 16  # larger lam arrays climb their probe rows first
 
 
 def _theta_quadrature(lam, u: float, deriv_fn, power: int):
@@ -316,7 +317,11 @@ def _theta_kernel(lam: np.ndarray, u: float, deriv_fn, power: int):
     contracts the integrand with the weights (((1+m)/2)^power folded in) by
     ``einsum``, off BLAS, whose threads cost CPU time here and save no wall
     time: a scalar ``lam`` in one call, an array in blocks of about
-    ``_BLOCK`` integrand values, so no (lam x n) array is formed.
+    ``_BLOCK`` integrand values, so no (lam x n) array is formed.  An array
+    of over ``_PROBE_MIN`` values hands the ladder its ``_probe_rows`` as a
+    probe, integrated by the same blocks, so each probe entry is the
+    array's bit for bit: the array then skips the rungs where the probe
+    rows still move, and fails in them alone where they never settle.
     """
     u = float(u)
     if not (-1.0 < u < 0.0 and np.all((lam > -1.0) & (lam < 0.0))):
@@ -325,21 +330,31 @@ def _theta_kernel(lam: np.ndarray, u: float, deriv_fn, power: int):
         )
     flat = lam.reshape(-1, 1)
 
-    def integrate(rule):
+    def integrate(rule, col=flat, shape=lam.shape):
         b, a = 0.5 * (1.0 + rule.nodes), 0.5 * (1.0 - rule.nodes) * u
         w = rule.weights * b**power if power else rule.weights
         if lam.ndim == 0:
             f = np.asarray(deriv_fn(lam * b + a), dtype=float)
             return _INV_2SQRT2 * np.einsum("j,j->", f, w)
-        sums = np.empty(flat.shape[0])
+        sums = np.empty(col.shape[0])
         rows = max(1, _BLOCK // rule.nodes.size)
-        for i in range(0, flat.shape[0], rows):
-            f = np.asarray(deriv_fn(flat[i : i + rows] * b + a), dtype=float)
+        for i in range(0, col.shape[0], rows):
+            f = np.asarray(deriv_fn(col[i : i + rows] * b + a), dtype=float)
             np.einsum("ij,j->i", f, w, out=sums[i : i + rows])
-        return _INV_2SQRT2 * sums.reshape(lam.shape)
+        return _INV_2SQRT2 * sums.reshape(shape)
 
-    val = doubling_quadrature(-0.5, 0.0, integrate, "theta quadrature")
+    probe = None
+    if lam.size > _PROBE_MIN:
+        probe = partial(integrate, col=flat[_probe_rows(flat[:, 0], u)], shape=-1)
+    val = doubling_quadrature(-0.5, 0.0, integrate, "theta quadrature", probe)
     return float(val) if val.ndim == 0 else val
+
+
+def _probe_rows(lam: np.ndarray, u: float) -> np.ndarray:
+    """Indices of the probe rows of a 1-d ``lam``: the six values nearest u
+    (where the rows that stop the climb last sit), the middle and the largest."""
+    near = np.argpartition(np.abs(lam - u), 5)[:6]
+    return np.unique(np.r_[near, lam.size // 2, np.argmax(lam)])
 
 
 def theta_of(lam, u: float, data: InitialData):

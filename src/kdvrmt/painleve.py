@@ -279,6 +279,19 @@ def _pi2_initial_guess(x):
     return np.stack([u, u1, u2, u3], axis=1)
 
 
+@lru_cache(maxsize=8)
+def _pi2_start(big_l: float):
+    """The continuation mesh on [-L, L] and its T = 0 solution, read-only.
+
+    Both depend on L alone, so each L is solved once per process.
+    """
+    s = np.linspace(-big_l, big_l, int(math.ceil(400.0 * big_l)) + 1)
+    x = _equidistribute(s, 1.0 / _coarse_spacing(0.5 * (s[:-1] + s[1:]), big_l))
+    y = _solve_pi2_mesh(0.0, x, _pi2_initial_guess(x), tol=1e-10)
+    x.flags.writeable = y.flags.writeable = False
+    return x, y
+
+
 # Defect target of the final PI2 mesh: its nodes are placed so that the
 # 7-point defect of every component of the first-order system (the closing
 # one divided by 240, the printed-equation scale of the replay residual)
@@ -375,11 +388,8 @@ def solve_pi2(t_param: float, big_l: float = 50.0, n_points: int | None = None) 
             f"exceeds 5% of leading term {lead:.3g}"
         )
 
-    s = np.linspace(-big_l, big_l, int(math.ceil(400.0 * big_l)) + 1)
-    x = _equidistribute(s, 1.0 / _coarse_spacing(0.5 * (s[:-1] + s[1:]), big_l))
-    y = _pi2_initial_guess(x)
     try:
-        y = _solve_pi2_mesh(0.0, x, y, tol=1e-10)
+        x, y = _pi2_start(float(big_l))
         n_steps = int(math.ceil(abs(t_param) / 0.25))
         for j in range(1, n_steps + 1):
             t_j = t_param * j / n_steps

@@ -62,12 +62,23 @@ def field_coeffs(f: QuarticField) -> np.ndarray:
 
 
 def field_eval(f: QuarticField, s) -> tuple:
-    """(V, V', V'') of the quartic field at s, by exact polynomial arithmetic."""
+    """(V, V', V'') of the quartic field at s, by exact polynomial arithmetic.
+
+    The derivative coefficients and the Horner sums take numpy.polynomial's
+    ``polyder`` and ``polyval`` steps in their order, so the values are
+    theirs bit for bit, without their per-call overhead.
+    """
     c = field_coeffs(f)
-    c1 = np.polynomial.polynomial.polyder(c)
-    c2 = np.polynomial.polynomial.polyder(c, 2)
-    pv = np.polynomial.polynomial.polyval
-    return pv(s, c), pv(s, c1), pv(s, c2)
+    c1 = c[1:] * np.arange(1.0, c.size)
+    c2 = c1[1:] * np.arange(1.0, c1.size)
+    return tuple(_horner(s, k) for k in (c, c1, c2))
+
+
+def _horner(s, c: np.ndarray):
+    val = c[-1] + s * 0
+    for ck in c[-2::-1]:
+        val = ck + val * s
+    return val
 
 
 @dataclass(frozen=True)

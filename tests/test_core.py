@@ -271,6 +271,40 @@ class TestDoublingQuadrature:
             core.doubling_quadrature(alpha, beta, integrate, "widget integral")
         assert sizes == list(ladder)
 
+    @staticmethod
+    def decaying(scales, sizes):
+        # entries c / n^6: rungs n/2 and n differ by 63 c / n^6, so c = 10
+        # agrees at 192 nodes and c = 1e4 at 768 (the ladder's third and fifth)
+        def integrate(rule):
+            sizes.append(rule.nodes.size)
+            return np.asarray(scales) / float(rule.nodes.size) ** 6
+
+        return integrate
+
+    def test_probe_starts_the_climb_below_its_agreement(self):
+        plain, probed, probe_sizes = [], [], []
+        ref = core.doubling_quadrature(-0.5, 0.0, self.decaying([10.0, 1e4], plain), "test")
+        val = core.doubling_quadrature(
+            -0.5, 0.0, self.decaying([10.0, 1e4], probed), "test", self.decaying([10.0], probe_sizes)
+        )
+        assert val.tobytes() == ref.tobytes()
+        assert plain == [48, 96, 192, 384, 768]
+        assert probe_sizes == [48, 96, 192]
+        assert probed == [96, 192, 384, 768]
+
+    def test_probe_that_never_agrees_raises_the_cap_error_alone(self):
+        plain, probed, probe_sizes = [], [], []
+        with pytest.raises(AccuracyError) as ref:
+            core.doubling_quadrature(-0.5, 0.0, self.decaying([1e30, 1e4], plain), "widget")
+        with pytest.raises(AccuracyError) as err:
+            core.doubling_quadrature(
+                -0.5, 0.0, self.decaying([1e30, 1e4], probed), "widget", self.decaying([1e30], probe_sizes)
+            )
+        assert str(err.value) == str(ref.value)
+        assert str(err.value) == "widget did not converge under node doubling up to 3072 nodes"
+        assert probe_sizes == plain == list(core._JACOBI_LADDERS[(-0.5, 0.0)])
+        assert probed == []
+
 
 class TestNewtonSolve:
     def test_square_root(self):

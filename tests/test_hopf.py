@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvrmt import hopf
+from kdvrmt import core, hopf
 from kdvrmt.core import gauss_jacobi_rule
 from kdvrmt.errors import AccuracyError, AmbiguityError, DomainError, GenericityError
 
@@ -299,6 +299,74 @@ class TestThetaBlocks:
     def test_cap_still_raises_next_to_the_minimum(self, data):
         with pytest.raises(AccuracyError):
             hopf.theta_of(-0.25, -0.9999999, data)
+
+
+class TestThetaProbe:
+    """An array of over 16 values climbs a few probe rows first.
+
+    The stop is the largest change over all rows, so it can come no
+    earlier than the probe rows' stop; values and errors stay the plain
+    climb's only if each probe entry is the array's entry bit for bit.
+    """
+
+    @staticmethod
+    def integrands(monkeypatch, lam, u, deriv_fn, power):
+        # the kernel's own closures, taken from its call of the ladder (the
+        # memo is bypassed, so it never holds what this stub returns)
+        seen = []
+
+        def capture(alpha, beta, integrate, what, probe=None):
+            seen.append((integrate, probe))
+            return integrate(gauss_jacobi_rule(48, alpha, beta))
+
+        monkeypatch.setattr(hopf, "doubling_quadrature", capture)
+        hopf._theta_kernel(lam, u, deriv_fn, power)
+        return seen[0]
+
+    @pytest.mark.parametrize("name,power", [("f_L_prime", 0), ("f_L_second", 1)])
+    def test_probe_entries_are_bitwise_the_array_entries(self, data, monkeypatch, name, power):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for u in (-0.99995, -0.9999, -0.9, -0.5, -0.2):
+            for lam in (
+                u + (-0.2538 - u) * 0.5 * (1.0 + gauss_jacobi_rule(768, 0.0, 0.5).nodes),
+                rng.uniform(u, -0.05, 17),
+                rng.uniform(-0.95, -0.05, 300),
+                rng.uniform(-0.95, -0.05, (12, 25)),
+            ):
+                integrate, probe = self.integrands(monkeypatch, lam, u, getattr(data, name), power)
+                rows = hopf._probe_rows(lam.reshape(-1), u)
+                assert 6 <= rows.size <= 8
+                for n in core._JACOBI_LADDERS[(-0.5, 0.0)]:
+                    rule = gauss_jacobi_rule(n, -0.5, 0.0)
+                    whole, part = integrate(rule).reshape(-1)[rows], probe(rule)
+                    assert whole.tobytes() == part.tobytes()
+                    checked += part.size
+        assert checked >= 5 * 4 * 7 * 6
+
+    def test_probe_rows_are_the_six_nearest_the_middle_and_the_largest(self):
+        lam = np.array([-0.5, -0.9, -0.1, -0.89, -0.3, -0.88, -0.87, -0.2, -0.86, -0.85, -0.4])
+        assert hopf._probe_rows(lam, -0.95).tolist() == [1, 2, 3, 5, 6, 8, 9]
+
+    @pytest.mark.parametrize("lam", [-0.45, np.linspace(-0.8, -0.1, 16)])
+    def test_small_arrays_and_scalars_climb_without_probe(self, data, monkeypatch, lam):
+        assert self.integrands(monkeypatch, np.asarray(lam), -0.7, data.f_L_prime, 0)[1] is None
+
+    def test_hopeless_array_fails_in_its_probe_rows(self, data):
+        # the 768-node trailing rule on [u, v] at the t = 0.30 sech^2
+        # solution: the probe never agrees, so no other row is integrated
+        u, v = -0.99995143, -0.2538578
+        lam = u + (v - u) * 0.5 * (1.0 + gauss_jacobi_rule(768, 0.0, 0.5).nodes)
+        rows = []
+
+        def counted(z):
+            rows.append(z.shape[0])
+            return data.f_L_prime(z)
+
+        with pytest.raises(AccuracyError) as err:
+            hopf.theta_of(lam, u, dataclasses.replace(data, f_L_prime=counted))
+        assert str(err.value) == "theta quadrature did not converge under node doubling up to 3072 nodes"
+        assert sum(rows) == 8 * len(core._JACOBI_LADDERS[(-0.5, 0.0)])
 
 
 class TestThetaMemo:

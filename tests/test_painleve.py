@@ -71,7 +71,9 @@ def test_collocation_runs_on_the_shared_newton(monkeypatch):
     monkeypatch.setattr(painleve, "newton_solve", counting)
     painleve.solve_hastings_mcleod()
     assert len(calls) == 1
-    # T = 0: the start on the continuation mesh, then two defect-mesh passes
+    # T = 0: the start on the continuation mesh (solved once per L, so the
+    # cache is emptied first), then two defect-mesh passes
+    painleve._pi2_start.cache_clear()
     painleve.solve_pi2(0.0)
     assert len(calls) == 4
     assert all(kw["solve"] is not np.linalg.solve for kw in calls)
@@ -238,6 +240,33 @@ class TestPI2:
         painleve.pi2_solution_cached(200.0, big_l=50.0)
         painleve.pi2_solution_cached(200, 50, None)
         assert calls == [(200.0, 50.0, None)]
+
+    def test_start_is_solved_once_per_l(self, monkeypatch):
+        # the continuation mesh and its T = 0 solution depend on L alone
+        starts = []
+        mesh_solve = painleve._solve_pi2_mesh
+
+        def counting(t_param, x, y_init, tol=1e-11):
+            if t_param == 0.0:
+                starts.append(x.size)
+            return mesh_solve(t_param, x, y_init, tol)
+
+        monkeypatch.setattr(painleve, "_solve_pi2_mesh", counting)
+        painleve._pi2_start.cache_clear()
+        for t_param in (0.25, 0.5, -0.5):
+            painleve.solve_pi2(t_param, 30.0)
+        assert len(starts) == 1
+        x, y = painleve._pi2_start(30.0)
+        assert not x.flags.writeable and not y.flags.writeable
+
+    def test_cached_start_gives_the_fresh_solution(self):
+        painleve._pi2_start(30.0)
+        warm = painleve.solve_pi2(0.5, 30.0)
+        painleve._pi2_start.cache_clear()
+        fresh = painleve.solve_pi2(0.5, 30.0)
+        for name in ("x_grid", "u", "u1", "u2", "u3"):
+            assert getattr(warm, name).tobytes() == getattr(fresh, name).tobytes()
+        assert (warm.residual_norm, warm.boundary_mismatch) == (fresh.residual_norm, fresh.boundary_mismatch)
 
     def test_derivative_consistency(self, pi2_t0):
         # stored first derivative matches a finite difference of u

@@ -27,6 +27,18 @@ class TestField:
         v3 = np.polynomial.polynomial.polyval(4.0 / 3.0, c3)
         assert abs(v3) < 1e-13
 
+    @pytest.mark.parametrize("x,t", [(0.0, 1.0), (0.3, 9.0), (-1.2, 0.5)])
+    def test_values_are_numpy_polynomial_bit_for_bit(self, x, t):
+        f = rmt_eq.QuarticField(x, t)
+        c = rmt_eq.field_coeffs(f)
+        poly = np.polynomial.polynomial
+        rng = np.random.default_rng(4)
+        for s in (1.7, rng.uniform(-3.0, 3.0, 16), rng.uniform(-3.0, 3.0, (65, 65, 16))):
+            ref = (poly.polyval(s, c), poly.polyval(s, poly.polyder(c)), poly.polyval(s, poly.polyder(c, 2)))
+            for val, want in zip(rmt_eq.field_eval(f, s), ref):
+                assert type(val) is type(want) and np.shape(val) == np.shape(want)
+                assert np.all(val == want)
+
     def test_finite_value(self):
         f = rmt_eq.QuarticField(0.0, 1.0)
         v, _, _ = rmt_eq.field_eval(f, 2.0)
