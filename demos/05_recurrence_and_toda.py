@@ -18,7 +18,7 @@ tab = orthopoly.compute_recurrence([0.0, 0.0, 0.5], 20, 12)
 n = np.arange(1, 13)
 print(f"  max |gamma_n - sqrt(n/20)| = {np.max(np.abs(tab.gamma - np.sqrt(n/20))):.1e}")
 pv = orthopoly.partition_log(tab, 3)
-print(f"  log Z_3 = {pv.logZ:.10f}")
+print(f"  log Z_3 = {pv:.10f}")
 
 print("\n== diagonal sequence vs the one-cut limit (x = x* - 1, t = 9) ==")
 f = rmt_eq.QuarticField(rmt_eq.X_STAR - 1.0, 9.0)

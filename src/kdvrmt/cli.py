@@ -59,8 +59,19 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _finite(key: str, text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {text.strip()}")
+    return value
+
+
+def _float(cfg: dict, key: str, default: str) -> float:
+    return _finite(key, cfg.get(key, default))
+
+
 def _floats(cfg: dict, key: str, default: str) -> list[float]:
-    return [float(tok) for tok in cfg.get(key, default).split(",") if tok.strip()]
+    return [_finite(key, tok) for tok in cfg.get(key, default).split(",") if tok.strip()]
 
 
 def _ints(cfg: dict, key: str, default: str) -> list[int]:
@@ -103,14 +114,14 @@ def cmd_kdv_compare(cfg: dict, jobs: int):
         raise ValueError(f"window = {window} does not read {', '.join(sorted(unread))}")
     data = _initial_data(cfg)
     eps_list = _floats(cfg, "eps_list", "0.2,0.1")
-    t = float(cfg.get("t", "0.1"))
+    t = _float(cfg, "t", "0.1")
     n_probe = int(cfg.get("n_probe", "41"))
     if n_probe < 1:
         raise ValueError(f"n_probe must be >= 1, got {n_probe}")
 
     # points(eps) -> (probe abscissae, the asymptotic values there)
     if window == "hopf":
-        xs = np.linspace(float(cfg.get("x_lo", "-3.0")), float(cfg.get("x_hi", "-1.0")), n_probe)
+        xs = np.linspace(_float(cfg, "x_lo", "-3.0"), _float(cfg, "x_hi", "-1.0"), n_probe)
         reference = np.asarray([hopf.hopf_solve(x, t, data) for x in xs])
 
         def points(eps):
@@ -118,7 +129,7 @@ def cmd_kdv_compare(cfg: dict, jobs: int):
 
     else:
         edge = kdv_asym.solve_leading_edge(t, data)
-        half = float(cfg.get("halfwidth_scale", "5.0"))
+        half = _float(cfg, "halfwidth_scale", "5.0")
 
         def points(eps):
             width = half * eps ** (2.0 / 3.0)
@@ -147,7 +158,7 @@ def cmd_rmt_phase(cfg: dict):
 
 def cmd_op_table(cfg: dict):
     which = cfg.get("which", "regular")
-    field = rmt_eq.QuarticField(x=float(cfg.get("x", "0.0")), t=float(cfg.get("t", "0.0")))
+    field = rmt_eq.QuarticField(x=_float(cfg, "x", "0.0"), t=_float(cfg, "t", "0.0"))
     rows, slope = orthopoly.compare_asymptotics(field, _ints(cfg, "n_range", "4,8,12,16"), which)
     return rows, {"which": which, "fitted_exponent": slope}
 
@@ -156,7 +167,7 @@ def cmd_toda_run(cfg: dict):
     n_weight = int(cfg.get("N", "20"))
     n_max = int(cfg.get("n_max", "32"))
     k = int(cfg.get("flow_k", "1"))
-    dt = float(cfg.get("dt", "0.005"))
+    dt = _float(cfg, "dt", "0.005")
     steps = int(cfg.get("steps", "0"))
     state = toda.gaussian_state(n_weight, n_max)
     spec0 = np.linalg.eigvalsh(toda.jacobi_matrix(state))
@@ -204,6 +215,8 @@ def _run(name: str, cfg: dict, out: Path, jobs: int) -> int:
     unknown = sorted(set(cfg) - keys)
     if unknown:
         raise ValueError(f"unknown config key(s) for {name}: {', '.join(unknown)}")
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
     # kdv-compare alone maps its rows on threads
     threaded = name == "kdv-compare"
     if jobs != 1 and not threaded:

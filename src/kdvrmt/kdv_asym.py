@@ -39,8 +39,10 @@ __all__ = [
     "solve_trailing_edge",
     "elliptic_approx",
     "catastrophe_approx",
+    "leading_edge_phase",
     "leading_edge_approx",
     "trailing_edge_approx",
+    "trailing_edge_x",
     "trailing_train_sum",
     "trailing_offset",
     "trailing_integral",

@@ -28,7 +28,6 @@ from .rmt_eq import QuarticField, X_STAR, field_coeffs
 
 __all__ = [
     "RecurrenceTable",
-    "PartitionValue",
     "InteriorCriticalData",
     "compute_recurrence",
     "partition_log",
@@ -37,6 +36,7 @@ __all__ = [
     "asym_edge",
     "conjectured_exterior",
     "ConjecturedExteriorResult",
+    "ExteriorParams",
     "interior_critical_data_t9",
     "compare_asymptotics",
     "EDGE_C",
@@ -71,12 +71,6 @@ class RecurrenceTable:
     @property
     def n_max(self) -> int:
         return self.gamma.size
-
-
-@dataclass(frozen=True)
-class PartitionValue:
-    n: int
-    logZ: float
 
 
 def _as_poly(v) -> np.ndarray:
@@ -211,12 +205,11 @@ def compute_recurrence(
     )
 
 
-def partition_log(table: RecurrenceTable, n: int) -> PartitionValue:
+def partition_log(table: RecurrenceTable, n: int) -> float:
     """log Z_n = log n! - 2 sum_{j<n} log kappa_j (log-Vandermonde identity)."""
     if not 1 <= n <= table.n_max + 1:
         raise DomainError("n outside the computed table")
-    log_z = math.lgamma(n + 1) - 2.0 * float(np.sum(table.log_kappa[:n]))
-    return PartitionValue(n=n, logZ=log_z)
+    return math.lgamma(n + 1) - 2.0 * float(np.sum(table.log_kappa[:n]))
 
 
 def asym_onecut(a: float, b: float) -> tuple[float, float]:
@@ -356,9 +349,13 @@ def compare_asymptotics(f: QuarticField, n_range: Sequence[int], which: str) -> 
     against log n (the fitted error-decay exponent).  A row whose
     recurrence or formula raises keeps NaN in the values it did not
     reach and the message in ``error``; the other rows are unaffected.
+    ``interior`` needs f.t = 9, the line its critical data come from, and
+    marks a row outside the double-scaling window with the formula's warning.
     """
     if which not in ("regular", "interior", "edge"):
         raise DomainError("which must be regular | interior | edge")
+    if which == "interior" and f.t != 9.0:
+        raise DomainError(f"which = interior is the t = 9 expansion; t must be 9, got {f.t}")
     if any(n < 1 for n in n_range):
         raise DomainError(f"n_range entries must be >= 1, got {min(n_range)}")
     rows = []
@@ -385,7 +382,9 @@ def compare_asymptotics(f: QuarticField, n_range: Sequence[int], which: str) -> 
                     raise limits
                 g_asym, b_asym = limits
             elif which == "interior":
-                g_asym, b_asym = asym_interior(f.x, n, crit)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)
+                    g_asym, b_asym = asym_interior(f.x, n, crit)
             else:
                 g_asym, b_asym = asym_edge(f.x, f.t, n)
             row.update(
@@ -394,7 +393,7 @@ def compare_asymptotics(f: QuarticField, n_range: Sequence[int], which: str) -> 
                 err_gamma=abs(g_num - g_asym),
                 err_beta=abs(b_num - b_asym),
             )
-        except KdvrmtError as exc:
+        except (KdvrmtError, UserWarning) as exc:
             row["error"] = str(exc)
         rows.append(row)
     logs = [(math.log(r["n"]), math.log(r["err_gamma"])) for r in rows if r["err_gamma"] > 0.0]

@@ -38,9 +38,7 @@ __all__ = [
     "solve_pi2",
     "solve_hastings_mcleod",
     "eval_pi2",
-    "eval_pi2_ext",
     "eval_hm",
-    "eval_hm_ext",
     "pi2_asymptote",
     "pi2_solution_cached",
     "default_hm_grid",
@@ -175,24 +173,17 @@ def _hermite_eval(x_grid, y, dy, x_eval):
 
 
 def _eval_grid(x_grid, y, dy, x, tail):
-    """Hermite interpolant on the symmetric grid, ``tail(x)`` beyond it.
-
-    Returns the values (a float for a scalar ``x``) and whether any point
-    fell outside the grid.
-    """
+    """Hermite interpolant on the symmetric grid, ``tail(x)`` beyond it."""
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr)
     inside = np.abs(x_arr) <= x_grid[-1]
-    flag = not inside.all()
     out = np.empty_like(x_arr)
     if inside.any():
         out[inside] = _hermite_eval(x_grid, y, dy, x_arr[inside])
-    if flag:
+    if not inside.all():
         out[~inside] = tail(x_arr[~inside])
-    if scalar:
-        return float(out[0]), flag
-    return out, flag
+    return float(out[0]) if scalar else out
 
 
 # ----------------------------------------------------------------------
@@ -427,12 +418,6 @@ def solve_pi2(t_param: float, big_l: float = 50.0, n_points: int | None = None) 
 
 def eval_pi2(sol: PI2Solution, x) -> float | np.ndarray:
     """Interpolated U(X); outside the solved domain the tail is used."""
-    val, _ = eval_pi2_ext(sol, x)
-    return val
-
-
-def eval_pi2_ext(sol: PI2Solution, x):
-    """Like :func:`eval_pi2` but also returns the extrapolation flag."""
     return _eval_grid(sol.x_grid, sol.u, sol.u1, x, lambda xo: pi2_asymptote(xo, sol.T))
 
 
@@ -507,11 +492,6 @@ def solve_hastings_mcleod(big_s: float = 10.0, n_points: int = 4001) -> HMGrid:
 
 
 def eval_hm(grid: HMGrid, s) -> float | np.ndarray:
-    val, _ = eval_hm_ext(grid, s)
-    return val
-
-
-def eval_hm_ext(grid: HMGrid, s):
     """Interpolated q(s); beyond the grid the defining tails take over."""
     return _eval_grid(grid.s_grid, grid.q_values, grid.q_prime, s, _hm_tail)
 

@@ -86,13 +86,12 @@ class EquilibriumMeasure:
     """One-cut equilibrium measure.
 
     density(s) = (1/2 pi) sqrt((s-a)(b-s)) * h(s) on the support (a, b),
-    with h stored as ascending polynomial coefficients; ``ell`` is the
-    Lagrange constant of the variational equality.
+    h in ascending coefficients; the variational check estimates the
+    Lagrange constant from its own support probes.
     """
 
     support: tuple
     h_coeffs: np.ndarray
-    ell: float
 
     def h(self, s):
         return np.polynomial.polynomial.polyval(s, self.h_coeffs)
@@ -120,16 +119,7 @@ class SingularityReport:
     kind: str  # none | exterior_I | interior_II | edge_III
     location: float
     margin: float
-    ambiguous: bool = False
     margins: dict = dc_field(default_factory=dict)
-
-
-def _measure(f: QuarticField, support: tuple, h_coeffs) -> EquilibriumMeasure:
-    """The measure of ``support`` and ``h_coeffs``, its ell read off at the midpoint."""
-    mid = 0.5 * (support[0] + support[1])
-    mu = EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=0.0)
-    ell = 2.0 * log_potential(mu, mid) - float(field_eval(f, mid)[0])
-    return EquilibriumMeasure(support=support, h_coeffs=h_coeffs, ell=ell)
 
 
 def measure_gaussian(x: float) -> EquilibriumMeasure:
@@ -138,7 +128,7 @@ def measure_gaussian(x: float) -> EquilibriumMeasure:
     Support [-2 e^{-x/2}, 2 e^{-x/2}], density (e^x / 2 pi) sqrt(4 e^{-x} - s^2).
     """
     half = 2.0 * math.exp(-x / 2.0)
-    return _measure(QuarticField(x=x, t=0.0), (-half, half), np.array([math.exp(x)]))
+    return EquilibriumMeasure((-half, half), np.array([math.exp(x)]))
 
 
 def measure_line_t(t: float) -> EquilibriumMeasure:
@@ -155,7 +145,7 @@ def measure_line_t(t: float) -> EquilibriumMeasure:
     g2 = 5.0 / t - 5.0
     denom = 5.0 + g2
     h_coeffs = np.array([(4.0 + g2) / denom, -4.0 / denom, 1.0 / denom])
-    return _measure(QuarticField(x=0.0, t=t), (-2.0, 2.0), h_coeffs)
+    return EquilibriumMeasure((-2.0, 2.0), h_coeffs)
 
 
 def t9_halfwidth(x: float) -> float:
@@ -189,7 +179,7 @@ def measure_t9(x: float) -> EquilibriumMeasure:
     pref = 16.0 / (b * b * (b * b + 4.0 * c_off))
     # h(s) = pref ((s - s*)^2 + C) in ascending coefficients
     h_coeffs = pref * np.array([s_star**2 + c_off, -2.0 * s_star, 1.0])
-    return _measure(QuarticField(x=x, t=9.0), (s_star - b, s_star + b), h_coeffs)
+    return EquilibriumMeasure((s_star - b, s_star + b), h_coeffs)
 
 
 def log_potential(mu: EquilibriumMeasure, s):
@@ -253,8 +243,8 @@ def variational_residual(
     """Check the equality/inequality pair defining the minimizer.
 
     Returns (eq_residual, ineq_margin): the max deviation of
-    2 int log|s-y| dmu - V(s) from a constant on support probes, and the
-    minimum of (ell - lhs) over exterior probes (negative = violation).
+    lhs = 2 int log|s-y| dmu - V(s) from its mean ell on support probes,
+    and the minimum of (ell - lhs) over exterior probes (negative = violation).
     """
     eq_residual, ineq_margin, _ = _variational_check(mu, f, probe_grid)
     return eq_residual, ineq_margin
@@ -359,7 +349,7 @@ def make_onecut_measure(f: QuarticField, seed: tuple | None = None) -> Equilibri
 
     def validate(c, w):
         a, b = c - w, c + w
-        mu = _measure(f, (a, b), _build_h(f, a, b))
+        mu = EquilibriumMeasure((a, b), _build_h(f, a, b))
         mass = mu.mass()
         if abs(mass - 1.0) > 1e-8:
             raise NotOneCutError(f"rebuilt density has mass {mass:.6f}, not 1")
@@ -406,7 +396,8 @@ def classify(mu: EquilibriumMeasure, f: QuarticField, check_exterior: bool = Tru
     interior_II: h vanishes strictly inside the support;
     edge_III: h vanishes at an endpoint.  Margins are normalized by the
     peak of |h| on the support, and a margin under 1e-6 triggers its
-    type; ties report the smaller margin and set the ambiguity flag.
+    type; when several trigger, the smallest margin names the kind and
+    ``margins`` keeps them all.
     """
     a, b = mu.support
     dense = np.linspace(a, b, 2001)
@@ -436,11 +427,7 @@ def classify(mu: EquilibriumMeasure, f: QuarticField, check_exterior: bool = Tru
         )
     kind = min(triggered, key=triggered.get)
     return SingularityReport(
-        kind=kind,
-        location=locations[kind],
-        margin=margins[kind],
-        ambiguous=len(triggered) > 1,
-        margins=margins,
+        kind=kind, location=locations[kind], margin=margins[kind], margins=margins
     )
 
 

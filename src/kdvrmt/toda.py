@@ -155,7 +155,8 @@ class Poly2:
         self.c = np.atleast_2d(np.asarray(coeffs, dtype=float))
 
     def __call__(self, rp, rm):
-        return np.polynomial.polynomial.polyval2d(*np.broadcast_arrays(rp, rm), self.c)
+        horner = np.polynomial.polynomial.polyval
+        return horner(rm, horner(rp, self.c), tensor=False)
 
     def diff(self, axis: int) -> "Poly2":
         return Poly2(np.polynomial.polynomial.polyder(self.c, axis=axis))
@@ -214,8 +215,9 @@ def _lambdas(rp: float, rm: float) -> tuple[float, float]:
 def hodograph_solve(x: float, t: float, v0_coeffs, seed=None) -> HodographPoint:
     """Solve x = lambda_{+-} t + f_{+-}(r_+, r_-) for the invariants.
 
-    Newton with the analytic polynomial Jacobian and a grid-scan seed;
-    a singular Jacobian signals the gradient catastrophe.
+    Newton with the analytic polynomial Jacobian, seeded (without ``seed``)
+    by the 40 x 40 grid point where the same residual is smallest; a
+    singular Jacobian signals the gradient catastrophe.
     """
     f = hodograph_potential(v0_coeffs)
     f_p = f.diff(0)
@@ -227,9 +229,7 @@ def hodograph_solve(x: float, t: float, v0_coeffs, seed=None) -> HodographPoint:
     def gfun(r):
         rp, rm = r
         lp, lm = _lambdas(rp, rm)
-        return np.array(
-            [lp * t + float(f_p(rp, rm)) - x, lm * t + float(f_m(rp, rm)) - x]
-        )
+        return np.array([lp * t + f_p(rp, rm) - x, lm * t + f_m(rp, rm) - x])
 
     def gjac(r, _):
         rp, rm = r
@@ -241,13 +241,12 @@ def hodograph_solve(x: float, t: float, v0_coeffs, seed=None) -> HodographPoint:
         )
 
     if seed is None:
-        # 40 x 40 scan of r_- < r_+ < 2 scale, scored by |g_0| + |g_1|
+        # 40 x 40 scan of r_- < r_+ < 2 scale
         scale = 2.0 * math.sqrt(abs(x)) + 1.0
         rp = np.linspace(0.01 * scale, 2.0 * scale, 40)
         rm = np.linspace(-2.0 * scale, rp - 0.01 * scale, 40, axis=-1)
         rp = rp[:, None]
-        lp, lm = _lambdas(rp, rm)
-        score = np.abs(lp * t + f_p(rp, rm) - x) + np.abs(lm * t + f_m(rp, rm) - x)
+        score = np.abs(gfun((rp, rm))).sum(axis=0)
         score = np.where(np.isfinite(score), score, np.inf)
         i, j = np.unravel_index(np.argmin(score), score.shape)
         seed = np.array([rp[i, 0], rm[i, j]])
@@ -288,10 +287,11 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
     in r so their higher partials vanish) d2f/dr^2 = t/4 and
     d3f/dr^3 = 0, closed by the consistency of the two hodograph branches.
     The system always has a degenerate family on the diagonal r_+ = r_-
-    (interval collapse), so the Newton runs in a (r, log gap) chart
-    seeded by a grid scan over gaps of at least 0.2; landing back under
-    half that gap is reported as non-generic.  c4 reduces to 1/96 identically because
-    (r_+ - r_-)/(lambda_- - lambda_+) = 2.
+    (interval collapse), so one residual, which broadcasts, scores a grid
+    scan over gaps of at least 0.2 and is then solved by Newton, with
+    core's finite-difference Jacobian, in a (r, log gap) chart; landing
+    back under half that gap is reported as non-generic.  c4 reduces to
+    1/96 identically because (r_+ - r_-)/(lambda_- - lambda_+) = 2.
     """
     if family not in ("plus", "minus"):
         raise DomainError("family must be 'plus' or 'minus'")
@@ -304,60 +304,23 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
     f_brk2, f_oth2 = (f_pp, f_mm)[ax], (f_mm, f_pp)[ax]
     f_brk3 = f_brk2.diff(ax)
     f_brk4 = f_brk3.diff(ax)
-    f_brk3_p = f_brk3.diff(0)
-    f_brk3_m = f_brk3.diff(1)
-    f_brk2_p = f_brk2.diff(0)
-    f_brk2_m = f_brk2.diff(1)
-    f_pm = f_p.diff(1)
 
-    def gfun(w):
+    def conditions(rp, rm):
         # the branch-consistency condition carries a structural gap^2
         # factor (it vanishes identically on the diagonal); dividing it
         # out removes the spurious diagonal valley from the root search
-        rp = w[0]
-        gap = math.exp(w[1])
-        rm = rp - gap
-        g2 = float(f_brk3(rp, rm))
-        g3 = (
-            float(f_p(rp, rm))
-            - float(f_m(rp, rm))
-            - 2.0 * (rp - rm) * float(f_brk2(rp, rm))
-        )
-        return np.array([g2, g3 / gap**2])
+        gap = rp - rm
+        consistency = f_p(rp, rm) - f_m(rp, rm) - 2.0 * gap * f_brk2(rp, rm)
+        return np.array([f_brk3(rp, rm), consistency / gap**2])
 
-    def gjac(w, _):
-        rp = w[0]
-        gap = math.exp(w[1])
-        rm = rp - gap
-        # partials in (rp, rm), then chain through rm = rp - e^g
-        d2_p, d2_m = float(f_brk3_p(rp, rm)), float(f_brk3_m(rp, rm))
-        b2 = float(f_brk2(rp, rm))
-        b2_p, b2_m = float(f_brk2_p(rp, rm)), float(f_brk2_m(rp, rm))
-        g3 = (
-            float(f_p(rp, rm)) - float(f_m(rp, rm)) - 2.0 * gap * b2
-        )
-        g3_p = float(f_pp(rp, rm)) - float(f_pm(rp, rm)) - 2.0 * b2 - 2.0 * gap * b2_p
-        g3_m = float(f_pm(rp, rm)) - float(f_mm(rp, rm)) + 2.0 * b2 - 2.0 * gap * b2_m
-        row2_rp = (g3_p + g3_m) / gap**2
-        row2_g = -gap * g3_m / gap**2 - 2.0 * g3 / gap**2
-        return np.array(
-            [
-                [d2_p + d2_m, -gap * d2_m],
-                [row2_rp, row2_g],
-            ]
-        )
-
-    # 161 x 80 scan over gaps of at least 0.2 where t_c > 1e-3, scored
-    # like gfun by |g2| + |g3| / gap^2
+    # 161 x 80 scan over gaps of at least 0.2 where t_c > 1e-3
     rp = np.linspace(-8.0, 8.0, 161)
     # row by row: the empty row rp = -7.8 would switch one array-stop
     # linspace to another rounding for every row
     rm = np.array([np.linspace(-8.0, r - 0.2, 80) for r in rp])
     rp = rp[:, None]
-    gap = rp - rm
     with np.errstate(divide="ignore", invalid="ignore"):
-        g3 = f_p(rp, rm) - f_m(rp, rm) - 2.0 * gap * f_brk2(rp, rm)
-        score = np.abs(f_brk3(rp, rm)) + np.abs(g3 / gap**2)
+        score = np.abs(conditions(rp, rm)).sum(axis=0)
     score = np.where(np.isfinite(score) & (4.0 * f_brk2(rp, rm) > 1e-3), score, np.inf)
     i, j = np.unravel_index(np.argmin(score), score.shape)
     if score[i, j] == np.inf:
@@ -366,7 +329,9 @@ def catastrophe_constants(v0_coeffs, family: str = "plus") -> CatastropheData:
     try:
         # an overflowing trial point raises, and the line search shortens it
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            res = newton_solve(gfun, w0, tol=1e-10, max_iter=80, jac=gjac)
+            res = newton_solve(
+                lambda w: conditions(w[0], w[0] - np.exp(w[1])), w0, tol=1e-10, max_iter=80
+            )
     except ConvergenceError as exc:
         raise GenericityError(
             "no generic catastrophe point found for this potential/family"

@@ -213,6 +213,22 @@ class TestOpTable:
         assert "n_range" in capsys.readouterr().err
         assert not (tmp_path / "op_table.csv").exists()
 
+    def test_interior_off_the_t9_line_rejected(self, tmp_path, capsys):
+        # the interior expansion carries the critical data of t = 9 only
+        cfg = write_config(tmp_path / "c.cfg", "which = interior\nx = -3.3\nt = 0.5\nn_range = 8\n")
+        assert cli.main(["op-table", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "t must be 9" in capsys.readouterr().err
+        assert not (tmp_path / "op_table.csv").exists()
+
+    def test_interior_rows_outside_the_window_marked(self, tmp_path, capsys):
+        # at x = 0 both rows have |s_xn| > n^(1/6): marked, not warned about
+        cfg = write_config(tmp_path / "c.cfg", "which = interior\nx = 0.0\nt = 9.0\nn_range = 8, 16\n")
+        assert cli.main(["op-table", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "op_table.json").read_text())
+        assert [f["n"] for f in doc["failures"]] == [8, 16]
+        assert all("outside the double-scaling window" in f["error"] for f in doc["failures"])
+
     def test_regular_without_onecut_marks_rows(self, tmp_path):
         # x = x* + 1 on t = 9 has no one-cut solution: the numeric columns
         # stay, the one-cut limit columns are NaN and every row names it
@@ -301,6 +317,33 @@ def test_unknown_config_key_rejected(tmp_path, command, key, capsys):
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    cfg = write_config(tmp_path / "c.cfg", "window = hopf\neps_list = 0.2\n")
+    out = tmp_path / "out"
+    assert cli.main(["kdv-compare", "--config", cfg, "--jobs", jobs, "--out", str(out)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,text,key",
+    [
+        ("kdv-phase", "t_grid = 0.22, inf\n", "t_grid"),
+        ("rmt-phase", "x_grid = nan\n", "x_grid"),
+        ("kdv-compare", "t = nan\n", "t"),
+        ("op-table", "x = -inf\n", "x"),
+    ],
+)
+def test_non_finite_value_rejected(tmp_path, capsys, command, text, key):
+    # a non-finite number is a config error, not an internal or a row failure
+    cfg = write_config(tmp_path / "c.cfg", text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert f"{key} must be finite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_jobs_rejected_where_serial(tmp_path, capsys):

@@ -109,13 +109,11 @@ class TestHastingsMcLeod:
         )
 
     def test_eval_beyond_right_end_hands_off_to_airy(self, hm):
-        val, flag = painleve.eval_hm_ext(hm, 12.0)
-        assert flag
+        val = painleve.eval_hm(hm, 12.0)
         assert val == pytest.approx(airy(12.0), rel=1e-12)
 
     def test_eval_beyond_left_end_hands_off_to_parabola(self, hm):
-        val, flag = painleve.eval_hm_ext(hm, -14.0)
-        assert flag
+        val = painleve.eval_hm(hm, -14.0)
         assert val == pytest.approx(math.sqrt(7.0), rel=1e-12)
 
     def test_midgrid_refinement_agreement(self, hm):
@@ -196,8 +194,7 @@ class TestPI2:
         assert painleve.eval_pi2(pi2_t0, 0.0) == pytest.approx(u00, abs=1e-6)
 
     def test_eval_outside_domain_flags(self, pi2_t0):
-        val, flag = painleve.eval_pi2_ext(pi2_t0, 75.0)
-        assert flag
+        val = painleve.eval_pi2(pi2_t0, 75.0)
         assert val == pytest.approx(float(painleve.pi2_asymptote(75.0, 0.0)), rel=1e-12)
 
     def test_small_l_rejected_for_large_t(self):

@@ -105,7 +105,8 @@ class TestVariational:
     def test_semicircle_constant_value(self):
         # classical Lagrange constant of the radius-2 semicircle
         mu = rmt_eq.measure_gaussian(0.0)
-        assert mu.ell == pytest.approx(-1.0, abs=1e-9)
+        v0 = float(rmt_eq.field_eval(rmt_eq.QuarticField(0.0, 0.0), 0.0)[0])
+        assert 2.0 * rmt_eq.log_potential(mu, 0.0) - v0 == pytest.approx(-1.0, abs=1e-9)
 
     def test_log_potential_against_oracle(self):
         mu = rmt_eq.measure_line_t(0.5)

@@ -274,6 +274,41 @@ class TestCatastrophe:
         with pytest.raises(GenericityError):
             toda.catastrophe_constants([0.0, 0.0, 0.5, -0.1])
 
+    # (V0, family, (r_+, r_-, t_c, x_c)) of located points; a sample of
+    # the quartic family V0 = [0, d, a, b, c] over both families
+    LOCATED = [
+        ([0.0, 0.0, 0.1, -0.3, 0.05], "minus",
+         (5.877975178854634, 0.6244049642290044, 1.6351581096974663, 2.975624999999998)),
+        ([0.0, 0.0, 0.1, 0.1, 0.02], "minus",
+         (1.450308624337498, -1.7900617248685162, 0.31452880493808383, 0.17226562500000026)),
+        ([0.0, 0.0, 0.2, 4.0 / 15.0, 0.1], "minus",
+         (0.3874258867227927, -0.8774851773445584, 0.045328063055842985, 0.019999999999999997)),
+        ([0.0, 0.1, 0.2, -4.0 / 15.0, 0.1], "plus",
+         (0.8774851773476693, -0.38742588674150724, 0.054671936944157104, 0.01999999999999997)),
+        ([0.0, -0.1, 0.5, -4.0 / 15.0, 0.05], "plus",
+         (1.5441518440112243, 0.27924077994387453, 0.24770633884244908, 0.009999999999999926)),
+    ]
+    # cells of the same family with no generic point: a stalled Newton, a
+    # collapse onto the diagonal and a non-positive catastrophe time
+    NON_GENERIC = [
+        ([0.0, -0.1, 0.2, -0.1, 0.1], "plus"),
+        ([0.0, 0.1, 0.1, -0.3, 0.05], "plus"),
+        ([0.0, 0.1, 0.5, 4.0 / 15.0, 0.05], "plus"),
+        ([0.0, 0.0, 0.1, 0.0, 0.02], "minus"),
+        ([0.0, 0.0, 0.5, 0.0, 0.1], "minus"),
+    ]
+
+    @pytest.mark.parametrize("v0, family, expected", LOCATED)
+    def test_located_points_pinned(self, v0, family, expected):
+        cd = toda.catastrophe_constants(v0, family=family)
+        assert (cd.r_plus, cd.r_minus, cd.t_c, cd.x_c) == pytest.approx(expected, rel=0, abs=1e-12)
+        assert cd.c4 == 1.0 / 96.0
+
+    @pytest.mark.parametrize("v0, family", NON_GENERIC)
+    def test_non_generic_cells_pinned(self, v0, family):
+        with pytest.raises(GenericityError):
+            toda.catastrophe_constants(v0, family=family)
+
     def test_overflowing_trial_points_raise_the_typed_error(self):
         # the plus-family Newton of this quartic overflows at trial points;
         # that shortens the step instead of warning, and the stalled search
