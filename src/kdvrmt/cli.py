@@ -221,8 +221,8 @@ def _run(name: str, cfg: dict, out: Path, jobs: int) -> int:
     threaded = name == "kdv-compare"
     if jobs != 1 and not threaded:
         raise ValueError(f"--jobs applies to kdv-compare only; {name} runs serially")
-    out.mkdir(parents=True, exist_ok=True)
     rows, extra = handler(cfg, jobs) if threaded else handler(cfg)
+    out.mkdir(parents=True, exist_ok=True)  # only once the handler has accepted cfg
     lines = [",".join(header)] + [",".join(_fmt(r[c]) for c in header) for r in rows]
     (out / csv_name).write_text("\n".join(lines) + "\n")
     doc = {"command": name, "config": cfg, "config_sha256": _config_hash(cfg), **extra}

@@ -211,21 +211,28 @@ def _edge_seed(kind: str, t: float, cp: CatastrophePoint):
     return np.array([cp.u_c + du, math.log(-1.75 * du)])
 
 
+# a path point only seeds the next step: ~20x below 6 min_step, its shortest step's residual jump
+_PATH_TOL = 1e-6
+
+
 def _solve_edge(
     kind: str, t: float, data: InitialData, cp: CatastrophePoint, warm: tuple | None = None
 ) -> EdgeSolution:
+    """The edge at t by predictor-corrector continuation in t.
+
+    The path starts just past the catastrophe point, where the asymptotic
+    seed is exact to O(t - t_c), or at a warm start further along.  Its
+    points are corrected to ``_PATH_TOL``, only the edge at t to 1e-11.
+    """
     if t <= cp.t_c:
         raise DomainError(f"edge systems exist only for t > t_c = {cp.t_c:.10f}")
     system = _leading_system if kind == "leading" else _trailing_system
-
-    # continuation from just past the catastrophe point, where the
-    # asymptotic seed is exact to O(t - t_c), or from a warm start that
-    # lies further along
     t_start = min(t, cp.t_c + 1e-4)
-    if warm is not None and t_start < warm[0] < t:
-        t_start, w = warm[0], np.asarray(warm[1], dtype=float)
-    else:
+    seeded = warm is None or not t_start < warm[0] < t
+    if seeded:
         w = _edge_seed(kind, t_start, cp)
+    else:
+        t_start, w = warm[0], np.asarray(warm[1], dtype=float)
     n_steps = max(1, int(math.ceil((t - t_start) / 0.01)))
     t_path = list(np.linspace(t_start, t, n_steps + 1))
     # a step halved twelve times ends the window, also when each halving
@@ -237,7 +244,10 @@ def _solve_edge(
         t_i = t_path[i]
         try:
             fun, jac = system(t_i, data)
-            res = newton_solve(fun, w, tol=1e-11, jac=jac)
+            guess = w
+            if seeded and i == 1:  # the seed's increment follows the sqrt(t - t_c) opening
+                guess = w + _edge_seed(kind, t_i, cp) - _edge_seed(kind, t_path[0], cp)
+            res = newton_solve(fun, guess, tol=_PATH_TOL if t_i < t else 1e-11, jac=jac)
             # the edges open from v = u as t grows: a halved gap slid onto v = u
             if res.x[1] < w[1] - math.log(2.0):
                 raise ConvergenceError(f"{kind}-edge gap collapsed onto v = u at t = {t_i:.6f}")
@@ -282,11 +292,11 @@ def solve_trailing_edge(t: float, data: InitialData) -> EdgeSolution:
 def kdv_phase_diagram(data: InitialData, t_grid) -> list[dict]:
     """Edge curves x^-(t), x^+(t) along a time grid past the catastrophe.
 
-    Continuation is chained along the grid: each row warm-starts from the
-    previous one once that lies past the seed point t_c + 1e-4.  Returns
-    one row per grid time with keys t, x_minus, x_plus and error; a
-    failure marks the row (leaving that edge as nan) instead of aborting
-    the sweep.
+    Continuation is chained along the grid: each row's edges, solved to
+    1e-11 (the path points between rows to 1e-6), warm-start the next row
+    once they lie past the seed point t_c + 1e-4.  Returns one row per
+    grid time with keys t, x_minus, x_plus and error; a failure marks the
+    row (leaving that edge as nan) instead of aborting the sweep.
     """
     cp = breaking_point(data)
     rows = []

@@ -56,6 +56,14 @@ class TestKdvPhase:
         cfg = write_config(tmp_path / "c.cfg", "t_grid = 0.1\n")
         assert cli.main(["kdv-phase", "--config", cfg, "--out", str(tmp_path)]) == 1
 
+    def test_rejected_grid_leaves_no_out_directory(self, tmp_path, capsys):
+        # t_c = sqrt(3)/8 ~ 0.216506; the handler rejects the grid before any output
+        cfg = write_config(tmp_path / "c.cfg", "t_grid = 0.25, 0.2165\n")
+        out = tmp_path / "out"
+        assert cli.main(["kdv-phase", "--config", cfg, "--out", str(out)]) == 1
+        assert "all t must exceed t_c" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_grid_empty_csv(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", "t_grid =\n")
         assert cli.main(["kdv-phase", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -216,9 +224,10 @@ class TestOpTable:
     def test_interior_off_the_t9_line_rejected(self, tmp_path, capsys):
         # the interior expansion carries the critical data of t = 9 only
         cfg = write_config(tmp_path / "c.cfg", "which = interior\nx = -3.3\nt = 0.5\nn_range = 8\n")
-        assert cli.main(["op-table", "--config", cfg, "--out", str(tmp_path)]) == 1
+        out = tmp_path / "out"
+        assert cli.main(["op-table", "--config", cfg, "--out", str(out)]) == 1
         assert "t must be 9" in capsys.readouterr().err
-        assert not (tmp_path / "op_table.csv").exists()
+        assert not out.exists()
 
     def test_interior_rows_outside_the_window_marked(self, tmp_path, capsys):
         # at x = 0 both rows have |s_xn| > n^(1/6): marked, not warned about
@@ -343,7 +352,7 @@ def test_non_finite_value_rejected(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
     assert f"{key} must be finite" in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_jobs_rejected_where_serial(tmp_path, capsys):

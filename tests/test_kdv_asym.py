@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ class TestEdgeSystems:
 
     def test_cusp_ordering(self, data, cp):
         # t <= t_c + 0.05 ~ 0.267, well inside the trailing window (the
-        # continuation solves up to ~0.29896; the branch itself ends at
+        # continuation solves up to ~0.29897; the branch itself ends at
         # t* ~ 0.3023, where u reaches the profile minimum -1)
         for dt in (0.01, 0.03, 0.05):
             t = cp.t_c + dt
@@ -155,16 +156,16 @@ class TestPhaseDiagram:
         assert not math.isnan(rows[1]["x_minus"])  # leading edge still fine
 
     def test_window_end_solved_in_a_chain(self, data):
-        # the last row lies 1.6e-4 before the end of the continuation
-        # (~0.298962); a theta_v Jacobian row ends it before 0.2988
+        # the last row lies 1.7e-4 before the end of the continuation
+        # (~0.298967); a theta_v Jacobian row ends it before 0.2988
         rows = kdv_asym.kdv_phase_diagram(data, [0.22, 0.24, 0.26, 0.28, 0.2988])
         assert all(r["error"] == "" for r in rows)
         assert rows[-1]["x_plus"] == pytest.approx(-1.80325884198, abs=1e-8)
 
     def test_chained_sweep_reuses_theta_quadratures(self, data, monkeypatch):
         # a failed continuation step restarts Newton from the same iterate,
-        # so its retries ask again for quadratures the memo holds (2,087 of
-        # 2,319 computed); without the memo every one is computed
+        # so its retries ask again for quadratures the memo holds (1,010 of
+        # 1,218 computed); without the memo every one is computed
         asked, computed = [], []
         quadrature, kernel = hopf._theta_quadrature, hopf._theta_kernel
 
@@ -179,24 +180,12 @@ class TestPhaseDiagram:
         assert len(computed) <= 0.92 * len(asked)
 
     def test_chained_sweep_probes_skip_rungs_and_keep_the_results(self, data, monkeypatch):
-        # the plain climb of every theta array integrates 92.1 M values over
-        # this sweep (2 vCPU Xeon, numpy 2.4); the probe rows let 60.9 M do,
-        # and every row value and error string stays the plain climb's
+        # the plain climb of every theta array integrates 58.8 M values over
+        # this sweep; the probe rows let 36.9 M do, and every row value and
+        # error string stays the plain climb's
         def sweep():
-            evaluated = [0]
-
-            def counted(fn):
-                def f(z):
-                    evaluated[0] += np.size(z) if np.ndim(z) == 2 else 0
-                    return fn(z)
-
-                return f
-
-            names = ("f_L_prime", "f_L_second", "f_L_third")
-            d = dataclasses.replace(data, **{n: counted(getattr(data, n)) for n in names})
-            hopf._theta_memo.cache_clear()
-            rows = kdv_asym.kdv_phase_diagram(d, [0.22, 0.24, 0.26, 0.28, 0.30])
-            return [(r["t"], repr(r["x_minus"]), repr(r["x_plus"]), r["error"]) for r in rows], evaluated[0]
+            rows, evaluated = _counted_chained_sweep(data)
+            return [(r["t"], repr(r["x_minus"]), repr(r["x_plus"]), r["error"]) for r in rows], evaluated
 
         probed, n_probed = sweep()
         plain_climb = core.doubling_quadrature
@@ -205,8 +194,81 @@ class TestPhaseDiagram:
         )
         plain, n_plain = sweep()
         assert probed == plain
-        assert "failed near t = 0.298962" in plain[-1][3]
+        assert "failed near t = 0.298967" in plain[-1][3]
         assert n_probed <= 0.75 * n_plain
+
+    def test_path_points_seed_and_only_the_edge_is_tight(self, data, monkeypatch):
+        # every point before the requested t is solved to _PATH_TOL, the
+        # requested t itself to 1e-11; a path solved to 1e-11 throughout
+        # returns the same rows for more theta work (36.9 M against 60.7 M
+        # integrand values)
+        solve_edge, newton = kdv_asym._solve_edge, kdv_asym.newton_solve
+        requested, at, calls = [], [], []
+
+        def recording_edge(kind, t, *args, **kwargs):
+            requested.append(t)
+            return solve_edge(kind, t, *args, **kwargs)
+
+        def recording_system(system):
+            return lambda t, d: at.append(t) or system(t, d)
+
+        def recording_newton(fun, x0, tol, jac):
+            calls.append((requested[-1], at[-1], tol))
+            return newton(fun, x0, tol=tol, jac=jac)
+
+        monkeypatch.setattr(kdv_asym, "_solve_edge", recording_edge)
+        monkeypatch.setattr(kdv_asym, "_leading_system", recording_system(kdv_asym._leading_system))
+        monkeypatch.setattr(kdv_asym, "_trailing_system", recording_system(kdv_asym._trailing_system))
+        monkeypatch.setattr(kdv_asym, "newton_solve", recording_newton)
+        rows, n_path = _counted_chained_sweep(data)
+        assert all(tol == (1e-11 if t_i == t else kdv_asym._PATH_TOL) for t, t_i, tol in calls)
+        assert {tol for _, _, tol in calls} == {1e-11, kdv_asym._PATH_TOL}
+        assert kdv_asym._PATH_TOL == 1e-6
+
+        monkeypatch.setattr(kdv_asym, "_PATH_TOL", 1e-11)
+        tight, n_tight = _counted_chained_sweep(data)
+        for r, q in zip(rows, tight, strict=True):
+            for column in ("x_minus", "x_plus"):
+                assert r[column] == pytest.approx(q[column], abs=1e-10, nan_ok=True)
+            # the same errors; a window end may move by 2 min_step, the
+            # resolution of the path
+            end = r"near t = ([0-9.]+)"
+            assert re.sub(end, "", r["error"]) == re.sub(end, "", q["error"])
+            for a, b in zip(re.findall(end, r["error"]), re.findall(end, q["error"]), strict=True):
+                assert abs(float(a) - float(b)) <= 2 * 1.5 * 0.01 / 2**12
+        assert rows[-1]["error"] != ""
+        assert n_path <= 0.7 * n_tight
+
+    def test_seeded_first_step_predicted_by_the_seed(self, data, monkeypatch):
+        # the edges open like sqrt(t - t_c): a first step that starts from
+        # the seed point's solution takes 27 (leading, t = 0.398) and 41
+        # (the 0.22 row) Newton iterations; the seed's increment takes <= 6
+        newton = kdv_asym.newton_solve
+        iterations = []
+
+        def recording_newton(*args, **kwargs):
+            res = newton(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        def first_steps():
+            iterations.clear()
+            edge = kdv_asym.solve_leading_edge(0.398, data)
+            first = iterations[1]
+            iterations.clear()
+            [row] = kdv_asym.kdv_phase_diagram(data, [0.22])
+            return edge.x_edge, row["x_minus"], first, iterations[1]
+
+        monkeypatch.setattr(kdv_asym, "newton_solve", recording_newton)
+        x_398, x_022, first_398, first_022 = first_steps()
+        assert first_398 <= 6 and first_022 <= 6
+        # a seed frozen at the start point predicts no increment: the plain start
+        seed = kdv_asym._edge_seed
+        monkeypatch.setattr(kdv_asym, "_edge_seed", lambda kind, t, cp: seed(kind, cp.t_c + 1e-4, cp))
+        plain_398, plain_022, slow_398, slow_022 = first_steps()
+        assert slow_398 > 6 and slow_022 > 6
+        assert x_398 == pytest.approx(plain_398, abs=1e-10)
+        assert x_022 == pytest.approx(plain_022, abs=1e-10)
 
     def test_chained_sweep_from_the_fold(self, data, cp):
         # the fold row lies before the seed point, and its gap is far too
@@ -232,6 +294,24 @@ class TestPhaseDiagram:
         rows = kdv_asym.kdv_phase_diagram(data, [cp.t_c + 1e-6])
         assert rows[0]["x_minus"] == pytest.approx(cp.x_c, abs=1e-3)
         assert rows[0]["x_plus"] == pytest.approx(cp.x_c, abs=1e-3)
+
+
+def _counted_chained_sweep(data):
+    """The rows of the 0.22 ... 0.30 sweep and the number of f_L' values
+    its theta arrays integrate (2-d arguments; the scalar path is 1-d)."""
+    evaluated = [0]
+
+    def counted(fn):
+        def f(z):
+            evaluated[0] += np.size(z) if np.ndim(z) == 2 else 0
+            return fn(z)
+
+        return f
+
+    names = ("f_L_prime", "f_L_second", "f_L_third")
+    d = dataclasses.replace(data, **{n: counted(getattr(data, n)) for n in names})
+    hopf._theta_memo.cache_clear()
+    return kdv_asym.kdv_phase_diagram(d, [0.22, 0.24, 0.26, 0.28, 0.30]), evaluated[0]
 
 
 class TestEllipticAnsatz:
