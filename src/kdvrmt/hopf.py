@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -279,102 +279,47 @@ def breaking_point(data: InitialData) -> CatastrophePoint:
 
 
 _INV_2SQRT2 = 1.0 / (2.0 * math.sqrt(2.0))
-# Integrand values per block (measured, CHANGES.md): below 2**14 each
-# temporary stays under glibc's 128 KiB mmap threshold and in L2; 2**15
-# to 2**17 doubled the edge sweep's time, mostly in page faults.
-_BLOCK = 2**14
+
+
 # The memo: a retried continuation step re-asks for quadratures it already
 # has; 32 entries save 99 % of what an unbounded memo would (CHANGES.md).
-_MEMO_ENTRIES = 32
-_MEMO_MAX_LAM = 1024  # larger lam arrays are computed and not stored
-_PROBE_MIN = 16  # larger lam arrays climb their probe rows first
-
-
-def _theta_quadrature(lam, u: float, deriv_fn, power: int):
+# Keyed by the exact inputs; errors are never stored.
+@lru_cache(maxsize=32)
+def _theta_quadrature(lam: float, u: float, deriv_fn, power: int) -> float:
     """(1/(2 sqrt 2)) int ((1+m)/2)^power deriv_fn(z) / sqrt(1-m) dm.
-
-    ``lam`` is a scalar (a float comes back) or an array of any shape.
-    The last ``_MEMO_ENTRIES`` results for at most ``_MEMO_MAX_LAM``
-    values are kept, keyed by the exact inputs; a hit returns the stored
-    value (an array as a fresh copy).  Errors are never stored.
-    """
-    lam = np.asarray(lam, dtype=float)
-    if lam.size > _MEMO_MAX_LAM:
-        return _theta_kernel(lam, u, deriv_fn, power)
-    val = _theta_memo(lam.shape, lam.tobytes(), float(u), deriv_fn, power)
-    return val if isinstance(val, float) else val.copy()
-
-
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _theta_memo(shape: tuple, lam_bytes: bytes, u: float, deriv_fn, power: int):
-    return _theta_kernel(np.frombuffer(lam_bytes).reshape(shape), u, deriv_fn, power)
-
-
-def _theta_kernel(lam: np.ndarray, u: float, deriv_fn, power: int):
-    """The quadrature itself, for a float64 ``lam`` of any shape.
 
     ``core.doubling_quadrature`` climbs the (-1/2, 0) ladder.  Each rule
     contracts the integrand with the weights (((1+m)/2)^power folded in) by
     ``einsum``, off BLAS, whose threads cost CPU time here and save no wall
-    time: a scalar ``lam`` in one call, an array in blocks of about
-    ``_BLOCK`` integrand values, so no (lam x n) array is formed.  An array
-    of over ``_PROBE_MIN`` values hands the ladder its ``_probe_rows`` as a
-    probe, integrated by the same blocks, so each probe entry is the
-    array's bit for bit: the array then skips the rungs where the probe
-    rows still move, and fails in them alone where they never settle.
+    time.
     """
-    u = float(u)
-    if not (-1.0 < u < 0.0 and np.all((lam > -1.0) & (lam < 0.0))):
-        raise DomainError(
-            f"theta arguments must lie in (-1, 0); got lam in [{lam.min()}, {lam.max()}], u = {u}"
-        )
-    flat = lam.reshape(-1, 1)
+    if not (-1.0 < u < 0.0 and -1.0 < lam < 0.0):
+        raise DomainError(f"theta arguments must lie in (-1, 0); got lam = {lam}, u = {u}")
 
-    def integrate(rule, col=flat, shape=lam.shape):
+    def integrate(rule):
         b, a = 0.5 * (1.0 + rule.nodes), 0.5 * (1.0 - rule.nodes) * u
         w = rule.weights * b**power if power else rule.weights
-        if lam.ndim == 0:
-            f = np.asarray(deriv_fn(lam * b + a), dtype=float)
-            return _INV_2SQRT2 * np.einsum("j,j->", f, w)
-        sums = np.empty(col.shape[0])
-        rows = max(1, _BLOCK // rule.nodes.size)
-        for i in range(0, col.shape[0], rows):
-            f = np.asarray(deriv_fn(col[i : i + rows] * b + a), dtype=float)
-            np.einsum("ij,j->i", f, w, out=sums[i : i + rows])
-        return _INV_2SQRT2 * sums.reshape(shape)
+        f = np.asarray(deriv_fn(lam * b + a), dtype=float)
+        return _INV_2SQRT2 * np.einsum("j,j->", f, w)
 
-    probe = None
-    if lam.size > _PROBE_MIN:
-        probe = partial(integrate, col=flat[_probe_rows(flat[:, 0], u)], shape=-1)
-    val = doubling_quadrature(-0.5, 0.0, integrate, "theta quadrature", probe)
-    return float(val) if val.ndim == 0 else val
+    return float(doubling_quadrature(-0.5, 0.0, integrate, "theta quadrature"))
 
 
-def _probe_rows(lam: np.ndarray, u: float) -> np.ndarray:
-    """Indices of the probe rows of a 1-d ``lam``: the six values nearest u
-    (where the rows that stop the climb last sit), the middle and the largest."""
-    near = np.argpartition(np.abs(lam - u), 5)[:6]
-    return np.unique(np.r_[near, lam.size // 2, np.argmax(lam)])
+def theta_of(lam: float, u: float, data: InitialData) -> float:
+    """The kernel theta(lam; u); constant f_L' makes it that constant."""
+    return _theta_quadrature(float(lam), float(u), data.f_L_prime, 0)
 
 
-def theta_of(lam, u: float, data: InitialData):
-    """The kernel theta(lam; u); constant f_L' makes it that constant.
-
-    ``lam`` may be a scalar or an array of first arguments.
-    """
-    return _theta_quadrature(lam, u, data.f_L_prime, 0)
-
-
-def theta_v(lam, u: float, data: InitialData):
+def theta_v(lam: float, u: float, data: InitialData) -> float:
     """First derivative of theta in its first argument.
 
     Differentiated under the integral using the closed-form f_L'' carried
     by the initial data (better conditioned than finite differences of
     theta itself, which are kept as a cross-check in the tests).
     """
-    return _theta_quadrature(lam, u, data.f_L_second, 1)
+    return _theta_quadrature(float(lam), float(u), data.f_L_second, 1)
 
 
-def theta_vv(lam, u: float, data: InitialData):
+def theta_vv(lam: float, u: float, data: InitialData) -> float:
     """Second derivative of theta in its first argument (uses f_L''')."""
-    return _theta_quadrature(lam, u, data.f_L_third, 2)
+    return _theta_quadrature(float(lam), float(u), data.f_L_third, 2)

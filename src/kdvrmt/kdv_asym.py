@@ -139,28 +139,27 @@ def _leading_system(t: float, data: InitialData):
 def trailing_integral(u: float, v: float, t: float, data: InitialData) -> float:
     """int_u^v (6t + theta(lam; u)) sqrt(lam - u) dlam by Gauss-Jacobi.
 
-    The integrand is smooth; ``core.doubling_quadrature`` guards the node
-    count.  Swapping the order of the lam and z integrals gives the same
-    value as one integral,
+    Swapping the order of the lam and z integrals gives the same value as
+    one integral with a closed-form integrand,
 
         I(u, v) = int_u^v (6t + f_L'(z)) sqrt(v - z) dz,
 
-    so its partials are exact and cost no quadrature beyond theta(v; u):
+    which ``_sqrt_weighted_integral`` takes as a function of lam = u + v - z;
+    ``core.doubling_quadrature`` guards its node count.  Its partials are
+    exact and cost no quadrature beyond theta(v; u):
 
         dI/dv = sqrt(v - u) (6t + theta(v; u)),
         dI/du = -sqrt(v - u) (6t + f_L'(u)).
 
-    The trailing Newton takes its Jacobian from these.  Its residual keeps
-    the nested form: the swapped integral also resolves the points near
-    u = -1 where theta(v; u) exceeds its node cap, and so solves the
-    t = 0.30 sech^2 row that the benchmark references pin as marked (the
-    reference regeneration comes first, then the swap; ROADMAP items 1
-    and 2).
+    The trailing Newton takes its Jacobian from these.
     """
     if v <= u:
         raise DomainError("trailing integral needs v > u")
     return _sqrt_weighted_integral(
-        lambda lam: 6.0 * t + theta_of(lam, u, data), u, v, "trailing integral"
+        lambda lam: 6.0 * t + np.asarray(data.f_L_prime(u + v - lam), dtype=float),
+        u,
+        v,
+        "trailing integral",
     )
 
 
@@ -253,15 +252,15 @@ def _solve_edge(
                 raise ConvergenceError(f"{kind}-edge gap collapsed onto v = u at t = {t_i:.6f}")
             w = np.asarray(res.x)
             i += 1
-        except (ConvergenceError, DomainError, AccuracyError):
+        except (ConvergenceError, DomainError, AccuracyError) as exc:
             if i == 0:  # the start point itself fails: nothing to bisect
                 raise
             if t_i - t_path[i - 1] < min_step:
                 raise ConvergenceError(
                     f"{kind}-edge continuation failed near t = {t_i:.6f} "
-                    "(end of the validity window)",
+                    f"(end of the validity window: {exc})",
                     last_iterate=w,
-                )
+                ) from exc
             t_path.insert(i, 0.5 * (t_path[i - 1] + t_i))
     u = float(w[0])
     gap = math.exp(float(w[1]))

@@ -5,8 +5,9 @@ summation instead of library calls, mpmath's AGM for the complete
 elliptic integrals, dense scans and golden-section search instead of
 Newton, adaptive quadrature with explicit substitutions instead of fixed
 Gauss rules, moment determinants instead of the Stieltjes loop, time
-stepping instead of the spectral map, spline derivatives for the Toda
-continuum limit, IVP shooting instead of collocation.  The one exception, ``jacobi_rule_table``, calls
+stepping instead of the spectral map, the nested trailing integral instead
+of its swapped form, spline derivatives for the Toda continuum limit, IVP
+shooting instead of collocation.  The one exception, ``jacobi_rule_table``, calls
 scipy on purpose: it writes the table of scipy rules that ``core``
 serves, and checks it bit for bit.
 """
@@ -103,30 +104,22 @@ def theta_by_substitution(lam: float, u: float, data) -> float:
     return val / (2.0 * math.sqrt(2.0))
 
 
-def theta_one_shot(lam, u: float, deriv_fn, power: int):
-    """The theta kernel as one (lam x n) integrand contracted by ``@``.
+def nested_trailing_integral(u: float, v: float, t: float, data) -> float:
+    """int_u^v (6t + theta(lam; u)) sqrt(lam - u) dlam, the nested definition.
 
-    The unblocked formulation of ``hopf._theta_quadrature``: the same
-    Gauss-Jacobi(-1/2, 0) rules, 48 -> 3072 doubling and 1e-10 stopping
-    test, with the whole integrand formed at once and contracted by BLAS.
+    A fixed 384-point Gauss-Jacobi (0, 1/2) rule from scipy over scalar
+    ``hopf.theta_of``: the order of integration ``trailing_integral`` swaps
+    is kept, so its one closed-form integrand is checked against the
+    integral it replaces.
     """
-    from kdvrmt.core import gauss_jacobi_rule
-    from kdvrmt.errors import AccuracyError
+    from scipy.special import roots_jacobi
 
-    lam = np.asarray(lam, dtype=float)
-    prev = None
-    n = 48
-    while n <= 3072:
-        rule = gauss_jacobi_rule(n, -0.5, 0.0)
-        m = rule.nodes
-        w = rule.weights * (0.5 * (1.0 + m)) ** power if power else rule.weights
-        z = 0.5 * (1.0 + m) * lam[..., None] + 0.5 * (1.0 - m) * u
-        val = (1.0 / (2.0 * math.sqrt(2.0))) * (np.asarray(deriv_fn(z), dtype=float) @ w)
-        if prev is not None and np.max(np.abs(val - prev)) < 1e-10:
-            return float(val) if val.ndim == 0 else val
-        prev = val
-        n *= 2
-    raise AccuracyError("one-shot theta did not converge under node doubling")
+    from kdvrmt.hopf import theta_of
+
+    x, w = roots_jacobi(384, 0.0, 0.5)
+    lam = u + (v - u) * 0.5 * (1.0 + x)
+    vals = np.array([6.0 * t + theta_of(float(z), u, data) for z in lam])
+    return (0.5 * (v - u)) ** 1.5 * float(w @ vals)
 
 
 def edge_grid_scan(t: float, data, kind: str, n_coarse: int = 81, n_refine: int = 4):

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import sys
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvrmt import core, hopf
-from kdvrmt.core import gauss_jacobi_rule
+from kdvrmt import hopf
 from kdvrmt.errors import AccuracyError, AmbiguityError, DomainError, GenericityError
 
-from oracles import golden_section_max, hopf_dense_scan, theta_by_substitution, theta_one_shot
+from oracles import golden_section_max, hopf_dense_scan, theta_by_substitution
 
 SQ3 = math.sqrt(3.0)
 
@@ -211,15 +209,9 @@ class TestThetaKernel:
         with pytest.raises(DomainError):
             hopf.theta_of(-0.5, -1.2, data)
 
-    @pytest.mark.parametrize("fn", [hopf.theta_of, hopf.theta_v, hopf.theta_vv])
-    def test_array_matches_scalar_calls(self, data, fn):
-        lams = np.linspace(-0.8, -0.1, 29)
-        for u in (-0.9, -0.5, -0.2):
-            vals = fn(lams, u, data)
-            assert isinstance(vals, np.ndarray) and vals.shape == lams.shape
-            scalars = [fn(float(lam), u, data) for lam in lams]
-            assert all(isinstance(s, float) for s in scalars)
-            np.testing.assert_allclose(vals, scalars, rtol=1e-12, atol=0.0)
+    def test_cap_still_raises_next_to_the_minimum(self, data):
+        with pytest.raises(AccuracyError):
+            hopf.theta_of(-0.25, -0.9999999, data)
 
     @given(st.floats(min_value=-0.95, max_value=-0.05))
     @settings(max_examples=20, deadline=None)
@@ -228,193 +220,31 @@ class TestThetaKernel:
         assert hopf.theta_of(u, u, d) == pytest.approx(float(d.f_L_prime(u)), rel=1e-9)
 
 
-class TestThetaBlocks:
-    """The blocked kernel against the one-shot (lam x n) reference.
-
-    The blocks change only the summation order, so values agree to a
-    few ulp of the largest value; the bound is 1e-14 relative to that
-    (norm-wise), because theta_v changes sign on (-0.9, -0.2) and a value
-    next to its zero carries the rounding of much larger summands.
-    """
-
-    DERIV = {"theta_of": ("f_L_prime", 0), "theta_v": ("f_L_second", 1), "theta_vv": ("f_L_third", 2)}
-
-    @pytest.fixture(scope="class")
-    def trailing_lam(self):
-        # the 768-node (0, 1/2) rule of trailing_integral on [u, v], near
-        # the end of the trailing window: dozens of blocks at 3,072 nodes
-        u, v = -0.99989078, -0.2545
-        rule = gauss_jacobi_rule(768, 0.0, 0.5)
-        return u + (v - u) * 0.5 * (1.0 + rule.nodes), u
-
-    def reference(self, fn, lam, u, data):
-        name, power = self.DERIV[fn.__name__]
-        return theta_one_shot(lam, u, getattr(data, name), power)
-
-    def test_trailing_rule_matches_one_shot(self, data, trailing_lam):
-        lam, u = trailing_lam
-        val = hopf.theta_of(lam, u, data)
-        assert val.shape == lam.shape
-        ref = self.reference(hopf.theta_of, lam, u, data)
-        assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("fn", [hopf.theta_v, hopf.theta_vv])
-    def test_trailing_rule_derivatives_still_unconverged(self, data, trailing_lam, fn):
-        lam, u = trailing_lam
-        with pytest.raises(AccuracyError):
-            fn(lam, u, data)
-        with pytest.raises(AccuracyError):
-            self.reference(fn, lam, u, data)
-
-    @pytest.mark.parametrize("fn", [hopf.theta_of, hopf.theta_v, hopf.theta_vv])
-    def test_many_lam_and_scalar_match_one_shot(self, data, fn):
-        lams = np.random.default_rng(8).uniform(-0.9, -0.2, 3000)
-        for lam in (lams, lams[:2400].reshape(40, 60), -0.45):
-            val = fn(lam, -0.7, data)
-            ref = self.reference(fn, lam, -0.7, data)
-            assert type(val) is type(ref) and np.shape(val) == np.shape(ref)
-            assert np.max(np.abs(val - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("fn", [hopf.theta_of, hopf.theta_v, hopf.theta_vv])
-    def test_scalar_path_is_bitwise_the_blocked_row(self, data, fn):
-        # a 0-d lam takes the one-row contraction, which keeps the blocked
-        # summation, so edge solves on scalars see the array values exactly
-        for lam, u in ((-0.45, -0.7), (-0.3, -0.95), (-0.9, -0.2)):
-            assert fn(lam, u, data) == fn(np.array([lam]), u, data)[0]
-
-    def test_trailing_rule_peak_memory(self, data, trailing_lam):
-        # the one-shot form holds a 768 x 3,072 integrand (18 MiB) and its
-        # temporaries; the blocked kernel holds one block at a time
-        lam, u = trailing_lam
-        hopf.theta_of(lam, u, data)  # rules cached before tracing
-        hopf._theta_memo.cache_clear()  # so the traced call computes
-        tracemalloc.start()
-        try:
-            hopf.theta_of(lam, u, data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
-
-    def test_cap_still_raises_next_to_the_minimum(self, data):
-        with pytest.raises(AccuracyError):
-            hopf.theta_of(-0.25, -0.9999999, data)
-
-
-class TestThetaProbe:
-    """An array of over 16 values climbs a few probe rows first.
-
-    The stop is the largest change over all rows, so it can come no
-    earlier than the probe rows' stop; values and errors stay the plain
-    climb's only if each probe entry is the array's entry bit for bit.
-    """
-
-    @staticmethod
-    def integrands(monkeypatch, lam, u, deriv_fn, power):
-        # the kernel's own closures, taken from its call of the ladder (the
-        # memo is bypassed, so it never holds what this stub returns)
-        seen = []
-
-        def capture(alpha, beta, integrate, what, probe=None):
-            seen.append((integrate, probe))
-            return integrate(gauss_jacobi_rule(48, alpha, beta))
-
-        monkeypatch.setattr(hopf, "doubling_quadrature", capture)
-        hopf._theta_kernel(lam, u, deriv_fn, power)
-        return seen[0]
-
-    @pytest.mark.parametrize("name,power", [("f_L_prime", 0), ("f_L_second", 1)])
-    def test_probe_entries_are_bitwise_the_array_entries(self, data, monkeypatch, name, power):
-        rng = np.random.default_rng(11)
-        checked = 0
-        for u in (-0.99995, -0.9999, -0.9, -0.5, -0.2):
-            for lam in (
-                u + (-0.2538 - u) * 0.5 * (1.0 + gauss_jacobi_rule(768, 0.0, 0.5).nodes),
-                rng.uniform(u, -0.05, 17),
-                rng.uniform(-0.95, -0.05, 300),
-                rng.uniform(-0.95, -0.05, (12, 25)),
-            ):
-                integrate, probe = self.integrands(monkeypatch, lam, u, getattr(data, name), power)
-                rows = hopf._probe_rows(lam.reshape(-1), u)
-                assert 6 <= rows.size <= 8
-                for n in core._JACOBI_LADDERS[(-0.5, 0.0)]:
-                    rule = gauss_jacobi_rule(n, -0.5, 0.0)
-                    whole, part = integrate(rule).reshape(-1)[rows], probe(rule)
-                    assert whole.tobytes() == part.tobytes()
-                    checked += part.size
-        assert checked >= 5 * 4 * 7 * 6
-
-    def test_probe_rows_are_the_six_nearest_the_middle_and_the_largest(self):
-        lam = np.array([-0.5, -0.9, -0.1, -0.89, -0.3, -0.88, -0.87, -0.2, -0.86, -0.85, -0.4])
-        assert hopf._probe_rows(lam, -0.95).tolist() == [1, 2, 3, 5, 6, 8, 9]
-
-    @pytest.mark.parametrize("lam", [-0.45, np.linspace(-0.8, -0.1, 16)])
-    def test_small_arrays_and_scalars_climb_without_probe(self, data, monkeypatch, lam):
-        assert self.integrands(monkeypatch, np.asarray(lam), -0.7, data.f_L_prime, 0)[1] is None
-
-    def test_hopeless_array_fails_in_its_probe_rows(self, data):
-        # the 768-node trailing rule on [u, v] at the t = 0.30 sech^2
-        # solution: the probe never agrees, so no other row is integrated
-        u, v = -0.99995143, -0.2538578
-        lam = u + (v - u) * 0.5 * (1.0 + gauss_jacobi_rule(768, 0.0, 0.5).nodes)
-        rows = []
-
-        def counted(z):
-            rows.append(z.shape[0])
-            return data.f_L_prime(z)
-
-        with pytest.raises(AccuracyError) as err:
-            hopf.theta_of(lam, u, dataclasses.replace(data, f_L_prime=counted))
-        assert str(err.value) == "theta quadrature did not converge under node doubling up to 3072 nodes"
-        assert sum(rows) == 8 * len(core._JACOBI_LADDERS[(-0.5, 0.0)])
-
-
 class TestThetaMemo:
     """The bounded memo under the theta kernel: exact, bounded, per data."""
 
-    @pytest.fixture(scope="class")
-    def trailing_lam(self):
-        u, v = -0.99989078, -0.2545
-        rule = gauss_jacobi_rule(768, 0.0, 0.5)
-        return u + (v - u) * 0.5 * (1.0 + rule.nodes), u
-
     @pytest.fixture(autouse=True)
     def empty_memo(self):
-        hopf._theta_memo.cache_clear()
+        hopf._theta_quadrature.cache_clear()
 
     def test_scalar_hit_is_the_fresh_value(self, data):
         first = hopf.theta_v(-0.45, -0.7, data)
         hit = hopf.theta_v(-0.45, -0.7, data)
-        fresh = hopf._theta_kernel(np.asarray(-0.45), -0.7, data.f_L_second, 1)
-        assert hopf._theta_memo.cache_info().hits == 1
+        fresh = hopf._theta_quadrature.__wrapped__(-0.45, -0.7, data.f_L_second, 1)
+        assert hopf._theta_quadrature.cache_info().hits == 1
         assert type(hit) is float and hit == first == fresh
 
-    def test_array_hit_is_a_fresh_copy(self, data, trailing_lam):
-        lam, u = trailing_lam
-        first = hopf.theta_of(lam, u, data)
-        fresh = hopf._theta_kernel(lam, u, data.f_L_prime, 0)
-        first[:] = 0.0
-        hit = hopf.theta_of(lam, u, data)
-        assert hopf._theta_memo.cache_info().hits == 1
-        assert hit.tobytes() == fresh.tobytes()
-        hit[:] = 0.0
-        assert hopf.theta_of(lam, u, data).tobytes() == fresh.tobytes()
-
-    def test_bounded_and_large_lam_not_stored(self, data):
+    def test_bounded(self, data):
         for lam in np.linspace(-0.8, -0.3, 40):
             hopf.theta_of(lam, -0.7, data)
-        assert hopf._theta_memo.cache_info().currsize == 32
-        big = np.random.default_rng(3).uniform(-0.9, -0.2, 3000)
-        hopf.theta_of(big, -0.7, data)
-        hopf.theta_of(big, -0.7, data)
-        info = hopf._theta_memo.cache_info()
+        info = hopf._theta_quadrature.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 40, 32)
 
     def test_errors_not_stored(self, data):
         for _ in range(2):
             with pytest.raises(AccuracyError):
                 hopf.theta_of(-0.25, -0.9999999, data)
-        assert hopf._theta_memo.cache_info().currsize == 0
+        assert hopf._theta_quadrature.cache_info().currsize == 0
 
     def test_initial_data_do_not_share_entries(self, data):
         # constant f_L' makes theta that constant
@@ -427,7 +257,7 @@ class TestThetaMemo:
         fns = (hopf.theta_of, hopf.theta_v, hopf.theta_vv)
         keys = [(fn, lam) for fn in fns for lam in np.linspace(-0.6, -0.3, 12)]
         serial = [fn(lam, -0.7, data) for fn, lam in keys]
-        hopf._theta_memo.cache_clear()
+        hopf._theta_quadrature.cache_clear()
         rng = np.random.default_rng(5)
         orders = [rng.permutation(len(keys)) for _ in range(4)]
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvrmt import core, hopf, kdv_asym, painleve
-from kdvrmt.errors import AccuracyError, DomainError, GenericityError
+from kdvrmt.errors import AccuracyError, ConvergenceError, DomainError, GenericityError
 
-from oracles import edge_grid_scan
+from oracles import edge_grid_scan, nested_trailing_integral
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +45,21 @@ class TestEdgeSystems:
         assert abs(kdv_asym.trailing_integral(trail.u, trail.v, 0.25, data)) < 1e-8
         assert trail.u < trail.v
 
-    def test_trailing_integral_unconverged_raises(self, data, monkeypatch):
-        # a kink in the integrand defeats the node doubling by 768 nodes
-        monkeypatch.setattr(kdv_asym, "theta_of", lambda lam, u, d: np.abs(lam - 0.3))
-        with pytest.raises(AccuracyError):
-            kdv_asym.trailing_integral(0.0, 1.0, 0.0, data)
+    def test_trailing_integral_unconverged_raises(self, data):
+        # a kink in the integrand, |0.3 - lam| at z = 1 - lam, defeats the
+        # node doubling by 768 nodes
+        kinked = dataclasses.replace(data, f_L_prime=lambda z: np.abs(z - 0.7))
+        with pytest.raises(AccuracyError, match="trailing integral .* 768 nodes"):
+            kdv_asym.trailing_integral(0.0, 1.0, 0.0, kinked)
+
+    @pytest.mark.parametrize("t,shift", [(0.22, 0.0), (0.24, 0.0), (0.26, 0.0), (0.28, 0.0), (0.25, 0.01)])
+    def test_trailing_integral_against_nested_oracle(self, data, t, shift):
+        # the swapped integral against the nested one it replaces, at solved
+        # trailing edges (where it is ~1e-13) and off one (where it is 6e-3)
+        edge = kdv_asym.solve_trailing_edge(t, data)
+        u, v = edge.u + shift, edge.v - 3.0 * shift
+        val = kdv_asym.trailing_integral(u, v, t, data)
+        assert val == pytest.approx(nested_trailing_integral(u, v, t, data), abs=1e-12)
 
     def test_trailing_integral_partials(self, data, trail):
         # off the edge, where 6t + theta(v; u) and so dI/dv are not zero
@@ -118,7 +128,7 @@ class TestEdgeSystems:
 
     def test_cusp_ordering(self, data, cp):
         # t <= t_c + 0.05 ~ 0.267, well inside the trailing window (the
-        # continuation solves up to ~0.29897; the branch itself ends at
+        # continuation solves up to ~0.29903; the branch itself ends at
         # t* ~ 0.3023, where u reaches the profile minimum -1)
         for dt in (0.01, 0.03, 0.05):
             t = cp.t_c + dt
@@ -148,60 +158,46 @@ class TestPhaseDiagram:
 
     def test_window_end_marked_not_fatal(self, data, cp):
         # at 0.30 a trailing solution exists (u ~ -0.99995; the branch ends
-        # at t* ~ 0.3023), but near u = -1 the theta quadrature's node cap
+        # at t* ~ 0.3023), but near u = -1 the trailing integral's node cap
         # rejects Newton's trial points; the sweep must mark, not abort
         rows = kdv_asym.kdv_phase_diagram(data, [0.25, 0.30])
         assert rows[1]["error"] != ""
         assert math.isnan(rows[1]["x_plus"])
         assert not math.isnan(rows[1]["x_minus"])  # leading edge still fine
 
+    def test_window_end_names_the_error_that_ended_it(self, data):
+        # the last halving near 0.299033 fails in the 768-node (0, 1/2)
+        # ladder of the trailing integral; the window end says so
+        rows = kdv_asym.kdv_phase_diagram(data, [0.22, 0.24, 0.26, 0.28, 0.30])
+        assert "end of the validity window: trailing integral" in rows[-1]["error"]
+        assert "768 nodes" in rows[-1]["error"]
+        with pytest.raises(ConvergenceError, match="validity window: trailing integral") as err:
+            kdv_asym.solve_trailing_edge(0.30, data)
+        assert isinstance(err.value.__cause__, AccuracyError)
+
     def test_window_end_solved_in_a_chain(self, data):
-        # the last row lies 1.7e-4 before the end of the continuation
-        # (~0.298967); a theta_v Jacobian row ends it before 0.2988
+        # the last row lies 2.3e-4 before the end of the continuation
+        # (~0.299033); a theta_v Jacobian row ends it before 0.2988
         rows = kdv_asym.kdv_phase_diagram(data, [0.22, 0.24, 0.26, 0.28, 0.2988])
         assert all(r["error"] == "" for r in rows)
         assert rows[-1]["x_plus"] == pytest.approx(-1.80325884198, abs=1e-8)
 
-    def test_chained_sweep_reuses_theta_quadratures(self, data, monkeypatch):
+    def test_chained_sweep_reuses_theta_quadratures(self, data):
         # a failed continuation step restarts Newton from the same iterate,
-        # so its retries ask again for quadratures the memo holds (1,010 of
-        # 1,218 computed); without the memo every one is computed
-        asked, computed = [], []
-        quadrature, kernel = hopf._theta_quadrature, hopf._theta_kernel
-
-        def count(calls, fn):
-            return lambda *args: calls.append(None) or fn(*args)
-
-        monkeypatch.setattr(hopf, "_theta_quadrature", count(asked, quadrature))
-        monkeypatch.setattr(hopf, "_theta_kernel", count(computed, kernel))
-        hopf._theta_memo.cache_clear()
+        # so its retries ask again for quadratures the memo holds (816 of
+        # 922 computed); without the memo every one is computed
+        hopf._theta_quadrature.cache_clear()
         rows = kdv_asym.kdv_phase_diagram(data, [0.22, 0.24, 0.26, 0.28, 0.30])
         assert rows[-1]["error"] != ""
-        assert len(computed) <= 0.92 * len(asked)
-
-    def test_chained_sweep_probes_skip_rungs_and_keep_the_results(self, data, monkeypatch):
-        # the plain climb of every theta array integrates 58.8 M values over
-        # this sweep; the probe rows let 36.9 M do, and every row value and
-        # error string stays the plain climb's
-        def sweep():
-            rows, evaluated = _counted_chained_sweep(data)
-            return [(r["t"], repr(r["x_minus"]), repr(r["x_plus"]), r["error"]) for r in rows], evaluated
-
-        probed, n_probed = sweep()
-        plain_climb = core.doubling_quadrature
-        monkeypatch.setattr(
-            hopf, "doubling_quadrature", lambda a, b, integrate, what, probe=None: plain_climb(a, b, integrate, what)
-        )
-        plain, n_plain = sweep()
-        assert probed == plain
-        assert "failed near t = 0.298967" in plain[-1][3]
-        assert n_probed <= 0.75 * n_plain
+        info = hopf._theta_quadrature.cache_info()
+        assert info.misses <= 0.92 * (info.hits + info.misses)
 
     def test_path_points_seed_and_only_the_edge_is_tight(self, data, monkeypatch):
         # every point before the requested t is solved to _PATH_TOL, the
         # requested t itself to 1e-11; a path solved to 1e-11 throughout
-        # returns the same rows for more theta work (36.9 M against 60.7 M
-        # integrand values)
+        # returns the same rows for more quadrature work (415 k against
+        # 508 k f_L derivative values; 37.2 M against 61.1 M with the
+        # nested trailing integral)
         solve_edge, newton = kdv_asym._solve_edge, kdv_asym.newton_solve
         requested, at, calls = [], [], []
 
@@ -237,7 +233,7 @@ class TestPhaseDiagram:
             for a, b in zip(re.findall(end, r["error"]), re.findall(end, q["error"]), strict=True):
                 assert abs(float(a) - float(b)) <= 2 * 1.5 * 0.01 / 2**12
         assert rows[-1]["error"] != ""
-        assert n_path <= 0.7 * n_tight
+        assert n_path <= 0.85 * n_tight
 
     def test_seeded_first_step_predicted_by_the_seed(self, data, monkeypatch):
         # the edges open like sqrt(t - t_c): a first step that starts from
@@ -297,20 +293,20 @@ class TestPhaseDiagram:
 
 
 def _counted_chained_sweep(data):
-    """The rows of the 0.22 ... 0.30 sweep and the number of f_L' values
-    its theta arrays integrate (2-d arguments; the scalar path is 1-d)."""
+    """The rows of the 0.22 ... 0.30 sweep and the number of values of the
+    f_L derivatives its theta and trailing quadratures evaluate."""
     evaluated = [0]
 
     def counted(fn):
         def f(z):
-            evaluated[0] += np.size(z) if np.ndim(z) == 2 else 0
+            evaluated[0] += np.size(z)
             return fn(z)
 
         return f
 
     names = ("f_L_prime", "f_L_second", "f_L_third")
     d = dataclasses.replace(data, **{n: counted(getattr(data, n)) for n in names})
-    hopf._theta_memo.cache_clear()
+    hopf._theta_quadrature.cache_clear()
     return kdv_asym.kdv_phase_diagram(d, [0.22, 0.24, 0.26, 0.28, 0.30]), evaluated[0]
 
 
